@@ -921,23 +921,17 @@ let ext9 () =
       incr embed_failures;
       Qac_anneal.Exact_sampler.sample sub
     | Some e ->
-      let physical = Embedding.apply chip sub e in
-      let compacted, old_of_new = Embedding.compact physical in
-      let response =
-        Qac_anneal.Sa.sample
-          ~params:{ Qac_anneal.Sa.default_params with
-                    Qac_anneal.Sa.num_reads = 12; num_sweeps = 250; seed = 9 }
-          compacted
+      let _, kept =
+        Embedding.solve e (Embedding.apply chip sub e)
+          ~solver:
+            (Qac_anneal.Sa.sample
+               ~params:{ Qac_anneal.Sa.default_params with
+                         Qac_anneal.Sa.num_reads = 12; num_sweeps = 250; seed = 9 })
       in
-      let reads =
-        List.map
-          (fun s ->
-             let full = Array.make physical.Problem.num_vars 1 in
-             Array.iteri (fun k old -> full.(old) <- s.Qac_anneal.Sampler.spins.(k)) old_of_new;
-             (Embedding.unembed e full).Embedding.logical)
-          response.Qac_anneal.Sampler.samples
-      in
-      Qac_anneal.Sampler.response_of_reads sub reads
+      Qac_anneal.Sampler.response_of_reads sub
+        (List.concat_map
+           (fun ((u : Embedding.unembedded), n) -> List.init n (fun _ -> u.Embedding.logical))
+           kept)
   in
   let t0 = Unix.gettimeofday () in
   let via_chip =

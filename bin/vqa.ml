@@ -130,9 +130,10 @@ let seed_arg =
 
 let timeout_arg =
   let doc =
-    "Deadline for the solve stage, in milliseconds.  Samplers check it \
-     between sweeps and return best-so-far partial results; a hit is \
-     reported on the output and in the trace."
+    "Deadline for the solve stage, in milliseconds; embedding runs before \
+     the clock starts.  Samplers check it between sweeps and return \
+     best-so-far partial results; a hit is reported on the output and in \
+     the trace."
   in
   Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
 
@@ -339,50 +340,6 @@ let maxsat_arg =
   in
   Arg.(value & flag & info [ "maxsat" ] ~doc)
 
-(* Minor-embed a compiled SAT problem, solve on the hardware graph, and
-   unembed — the single-job version of the pipeline's physical target. *)
-let sat_solve_physical ~graph ~chain_break ~threads ?deadline solver p =
-  let eparams =
-    { (Qac_embed.Cmr.params_for graph) with Qac_embed.Cmr.num_threads = threads }
-  in
-  let cache = Qac_embed.Cache.shared () in
-  let key = Qac_embed.Cache.key graph p ~params:eparams in
-  let embedding =
-    match Qac_embed.Cache.find cache key with
-    | Some e -> e
-    | None ->
-      let e =
-        match Qac_embed.Cmr.find ~params:eparams graph p with
-        | Some e -> e
-        | None ->
-          (match Qac_embed.Clique.find graph p with
-           | Some e -> e
-           | None ->
-             Qac_diag.Diag.error ~stage:"sat"
-               "no minor embedding found (formula too large for the topology?)")
-      in
-      Qac_embed.Cache.add cache key e;
-      e
-  in
-  let physical = Qac_embed.Embedding.apply graph p embedding in
-  let compacted, old_of_new = Qac_embed.Embedding.compact physical in
-  let response = P.dispatch_solver ~num_threads:threads ?deadline solver compacted in
-  let logical_samples =
-    List.map
-      (fun (s : Qac_anneal.Sampler.sample) ->
-         let full = Array.make physical.Qac_ising.Problem.num_vars 1 in
-         Array.iteri
-           (fun k old -> full.(old) <- s.Qac_anneal.Sampler.spins.(k))
-           old_of_new;
-         let u =
-           Qac_embed.Embedding.unembed ~policy:chain_break ~problem:physical
-             embedding full
-         in
-         (u.Qac_embed.Embedding.logical, s.Qac_anneal.Sampler.num_occurrences))
-      response.Qac_anneal.Sampler.samples
-  in
-  (logical_samples, Some (Qac_embed.Embedding.num_physical_qubits embedding), response)
-
 let sat_cmd =
   let run file maxsat solver reads sweeps seed physical topology broken threads
       timeout_ms chain_break =
@@ -391,21 +348,18 @@ let sat_cmd =
       let compiled = Sat.compile formula in
       let p = compiled.Sat.problem in
       let exact = solver = `Exact in
-      let solver = make_solver solver ~reads ~sweeps ~seed in
-      let deadline =
-        Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
-      in
-      let samples, physical_qubits, (response : Qac_anneal.Sampler.response) =
-        if physical = 0 then
-          let response = P.dispatch_solver ~num_threads:threads ?deadline solver p in
-          ( List.map
-              (fun (s : Qac_anneal.Sampler.sample) ->
-                 (s.Qac_anneal.Sampler.spins, s.Qac_anneal.Sampler.num_occurrences))
-              response.Qac_anneal.Sampler.samples,
-            None, response )
+      let target =
+        if physical = 0 then P.Logical
         else
-          let graph = make_graph ~topology ~broken physical in
-          sat_solve_physical ~graph ~chain_break ~threads ?deadline solver p
+          P.Physical
+            { graph = make_graph ~topology ~broken physical;
+              embed_params = None;
+              chain_strength = None;
+              roof_duality = false }
+      in
+      let solved =
+        P.solve_problem ~num_threads:threads ?timeout_ms ~chain_break
+          ~solver:(make_solver solver ~reads ~sweeps ~seed) ~target p
       in
       (* Decode every read and keep the cheapest assignment; [cost] ranks by
          the same objective the Hamiltonian encodes, so a read whose
@@ -413,26 +367,25 @@ let sat_cmd =
          decision bits actually violate. *)
       let best =
         List.fold_left
-          (fun acc (spins, _) ->
+          (fun acc { P.spins; _ } ->
              let a = Sat.decode compiled spins in
              let c = Sat.cost compiled a in
              match acc with
              | Some (_, best_c) when best_c <= c -> acc
              | _ -> Some (a, c))
-          None samples
+          None solved.P.reads
       in
       Printf.printf "c %d variables, %d clauses -> %d spins (%d ancillas), %d couplers\n"
         formula.Dimacs.num_vars
         (Array.length formula.Dimacs.clauses)
         p.Qac_ising.Problem.num_vars compiled.Sat.num_ancillas
         (Array.length p.Qac_ising.Problem.couplers);
-      (match physical_qubits with
+      (match solved.P.num_physical_qubits with
        | Some q -> Printf.printf "c physical qubits: %d\n" q
        | None -> ());
-      Printf.printf "c reads: %d  elapsed: %.3fs\n"
-        response.Qac_anneal.Sampler.num_reads
-        response.Qac_anneal.Sampler.elapsed_seconds;
-      if response.Qac_anneal.Sampler.timed_out then
+      Printf.printf "c reads: %d  elapsed: %.3fs\n" solved.P.num_reads
+        solved.P.elapsed_seconds;
+      if solved.P.timed_out then
         print_endline "c timed out: best-so-far";
       let print_v a =
         let buf = Buffer.create (4 * Array.length a) in

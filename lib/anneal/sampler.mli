@@ -37,7 +37,7 @@ val response_of_evaluated_reads :
   response
 
 (** Aggregation for reads that already carry occurrence counts (bit-packed
-    blocks, composite post-processors, the tiler's demux): counts for equal
+    blocks, composite post-processors): counts for equal
     configurations sum {e before} the energy sort, so near-identical
     multi-lane blocks collapse into single samples instead of inflating
     the response.  Raises [Invalid_argument] on a count below 1. *)

@@ -238,6 +238,20 @@ type solution = {
   broken_chains : int;
 }
 
+type logical_read = {
+  spins : Problem.spin array;
+  occurrences : int;
+  broken_chains : int;
+}
+
+type solved = {
+  reads : logical_read list;
+  num_reads : int;
+  elapsed_seconds : float;
+  num_physical_qubits : int option;
+  timed_out : bool;
+}
+
 type run_result = {
   solutions : solution list;
   num_reads : int;
@@ -330,184 +344,152 @@ let solution_of_spins t ~program ?(num_occurrences = 1) ?(broken_chains = 0) spi
     pins_respected;
     broken_chains }
 
-(* Run stages, each a traced span: assemble -> (qpbo -> embed) -> solve
-   -> unembed -> verify.  Logical targets skip the embedding spans.  The
-   embed stage consults [embed_cache] first (keyed on problem structure +
-   topology identity + embedder params): a hit skips the embed span
-   entirely and records the [embed-cache-hit] counter instead.
+(* The back half for any logical problem: (qpbo -> embed) -> solve ->
+   unembed, each a traced span.  Logical targets skip the embedding spans.
+   The embed stage consults [embed_cache] first (keyed on problem
+   structure + topology identity + embedder params): a hit skips the embed
+   span entirely and records the [embed-cache-hit] counter instead.
    [timeout_ms] bounds the solve stage: the absolute deadline is computed
    when the solve span opens, the samplers return best-so-far on expiry,
    and the [timed-out] counter (0/1) lands on the solve span. *)
-let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
-    ?(embed_cache = Qac_embed.Cache.shared ()) ?timeout_ms
-    ?(postprocess = `None) ?(chain_break = Embedding.Vote) ~solver ~target t =
+let solve_problem ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ())
+    ?timeout_ms ?(postprocess = `None) ?(chain_break = Embedding.Vote) ~solver ~target
+    logical =
   let span name f = Trace.with_span_opt trace name f in
   let count key v = Trace.counter_opt trace key v in
-  let deadline_of_timeout () =
-    Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
-  in
   (* One solve = composite-wrapped dispatch.  The deadline computed at
      span open bounds the base solve {e and} the polish loop: a run under
      time pressure returns unpolished samples rather than blowing its
      budget in post-processing. *)
   let composite_solve problem =
-    let deadline = deadline_of_timeout () in
+    let deadline =
+      Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.0)) timeout_ms
+    in
     Anneal.Composite.wrap ~postprocess ?deadline problem
       ~solve:(fun p -> dispatch_solver ~num_threads ?deadline solver p)
   in
+  let num_logical_vars = logical.Problem.num_vars in
+  let finish (r : Anneal.Sampler.response) reads num_physical_qubits =
+    { reads;
+      num_reads = r.Anneal.Sampler.num_reads;
+      elapsed_seconds = r.Anneal.Sampler.elapsed_seconds;
+      num_physical_qubits;
+      timed_out = r.Anneal.Sampler.timed_out }
+  in
+  match target with
+  | Logical ->
+    let response =
+      span "solve" (fun () ->
+          let r = composite_solve logical in
+          count "reads" r.Anneal.Sampler.num_reads;
+          count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
+          r)
+    in
+    finish response
+      (List.map
+         (fun (s : Anneal.Sampler.sample) ->
+            { spins = s.Anneal.Sampler.spins;
+              occurrences = s.Anneal.Sampler.num_occurrences;
+              broken_chains = 0 })
+         response.Anneal.Sampler.samples)
+      None
+  | Physical { graph; embed_params; chain_strength; roof_duality } ->
+    let simplified =
+      span "qpbo" (fun () ->
+          let simplified =
+            if roof_duality then Qpbo.simplify logical
+            else
+              { Qpbo.reduced = logical;
+                kept = Array.init num_logical_vars (fun i -> i);
+                fixed = [] }
+          in
+          count "kept-vars" (Array.length simplified.Qpbo.kept);
+          count "fixed-vars" (List.length simplified.Qpbo.fixed);
+          simplified)
+    in
+    let to_embed = simplified.Qpbo.reduced in
+    (* vqa's --threads reaches the embedder here: an explicit embed_params
+       wins, otherwise the run-level thread count parallelizes the tries
+       (which by contract cannot change the embedding found). *)
+    let eparams =
+      match embed_params with
+      | Some p -> p
+      | None -> { (Cmr.params_for graph) with Cmr.num_threads }
+    in
+    let cache_key = Qac_embed.Cache.key graph to_embed ~params:eparams in
+    let embedding =
+      match Qac_embed.Cache.find embed_cache cache_key with
+      | Some embedding ->
+        count "embed-cache-hit" 1;
+        count "physical-qubits" (Embedding.num_physical_qubits embedding);
+        embedding
+      | None ->
+        let embedding =
+          span "embed" (fun () ->
+              count "embed-cache-miss" 1;
+              let embedding =
+                match Cmr.find ~params:eparams graph to_embed with
+                | Some e -> e
+                | None ->
+                  (* Dense interaction graphs defeat the path-based heuristic;
+                     fall back to the deterministic clique template when it
+                     applies. *)
+                  (match Qac_embed.Clique.find graph to_embed with
+                   | Some e -> e
+                   | None ->
+                     error "no minor embedding found (problem too large for the topology?)")
+              in
+              count "physical-qubits" (Embedding.num_physical_qubits embedding);
+              count "max-chain-length" (Embedding.max_chain_length embedding);
+              embedding)
+        in
+        Qac_embed.Cache.add embed_cache cache_key embedding;
+        embedding
+    in
+    let physical = Embedding.apply ?chain_strength graph to_embed embedding in
+    let response, kept =
+      Embedding.solve ?trace ~policy:chain_break ~solver:composite_solve embedding physical
+    in
+    finish response
+      (List.map
+         (fun ((u : Embedding.unembedded), n) ->
+            { spins =
+                Qpbo.restore ~original_num_vars:num_logical_vars simplified
+                  u.Embedding.logical;
+              occurrences = n;
+              broken_chains = u.Embedding.broken_chains })
+         kept)
+      (Some (Embedding.num_physical_qubits embedding))
+
+(* Pin assembly -> [solve_problem] -> verify, each a traced span.  The pin
+   span re-assembles the compiled program with the pins appended. *)
+let run ?(pins = []) ?(pin_source = "") ?trace ?num_threads ?embed_cache ?timeout_ms
+    ?postprocess ?chain_break ~solver ~target t =
+  let span name f = Trace.with_span_opt trace name f in
+  let count key v = Trace.counter_opt trace key v in
   let program =
-    span "assemble" (fun () ->
+    span "pin" (fun () ->
         let program = assemble_with_pins ~pins ~pin_source t in
         count "logical-vars" program.Qmasm.Assemble.problem.Problem.num_vars;
         count "logical-terms" (Problem.num_terms program.Qmasm.Assemble.problem);
         program)
   in
   let logical = program.Qmasm.Assemble.problem in
-  let num_logical_vars = logical.Problem.num_vars in
-  (* Solve, producing logical-level reads plus chain-break counts. *)
-  let reads_logical, num_physical_qubits, num_reads, elapsed, timed_out =
-    match target with
-    | Logical ->
-      let response =
-        span "solve" (fun () ->
-            let r = composite_solve logical in
-            count "reads" r.Anneal.Sampler.num_reads;
-            count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
-            r)
-      in
-      let reads =
-        List.concat_map
-          (fun s ->
-             List.init s.Anneal.Sampler.num_occurrences (fun _ ->
-                 (s.Anneal.Sampler.spins, 0)))
-          response.Anneal.Sampler.samples
-      in
-      ( reads,
-        None,
-        response.Anneal.Sampler.num_reads,
-        response.Anneal.Sampler.elapsed_seconds,
-        response.Anneal.Sampler.timed_out )
-    | Physical { graph; embed_params; chain_strength; roof_duality } ->
-      let simplified =
-        span "qpbo" (fun () ->
-            let simplified =
-              if roof_duality then Qpbo.simplify logical
-              else
-                { Qpbo.reduced = logical;
-                  kept = Array.init num_logical_vars (fun i -> i);
-                  fixed = [] }
-            in
-            count "kept-vars" (Array.length simplified.Qpbo.kept);
-            count "fixed-vars" (List.length simplified.Qpbo.fixed);
-            simplified)
-      in
-      let to_embed = simplified.Qpbo.reduced in
-      (* vqa's --threads reaches the embedder here: an explicit embed_params
-         wins, otherwise the run-level thread count parallelizes the tries
-         (which by contract cannot change the embedding found). *)
-      let eparams =
-        match embed_params with
-        | Some p -> p
-        | None -> { (Cmr.params_for graph) with Cmr.num_threads }
-      in
-      let cache_key = Qac_embed.Cache.key graph to_embed ~params:eparams in
-      let embedding =
-        match Qac_embed.Cache.find embed_cache cache_key with
-        | Some embedding ->
-          count "embed-cache-hit" 1;
-          count "physical-qubits" (Embedding.num_physical_qubits embedding);
-          embedding
-        | None ->
-          let embedding =
-            span "embed" (fun () ->
-                count "embed-cache-miss" 1;
-                let embedding =
-                  match Cmr.find ~params:eparams graph to_embed with
-                  | Some e -> e
-                  | None ->
-                    (* Dense interaction graphs defeat the path-based heuristic;
-                       fall back to the deterministic clique template when it
-                       applies. *)
-                    (match Qac_embed.Clique.find graph to_embed with
-                     | Some e -> e
-                     | None ->
-                       error "no minor embedding found (problem too large for the topology?)")
-                in
-                count "physical-qubits" (Embedding.num_physical_qubits embedding);
-                count "max-chain-length" (Embedding.max_chain_length embedding);
-                embedding)
-          in
-          Qac_embed.Cache.add embed_cache cache_key embedding;
-          embedding
-      in
-      let physical = Embedding.apply ?chain_strength graph to_embed embedding in
-      let compacted, old_of_new = Embedding.compact physical in
-      let response =
-        span "solve" (fun () ->
-            let r = composite_solve compacted in
-            count "reads" r.Anneal.Sampler.num_reads;
-            count "timed-out" (if r.Anneal.Sampler.timed_out then 1 else 0);
-            r)
-      in
-      let reads =
-        span "unembed" (fun () ->
-            let resolved =
-              List.map
-                (fun s ->
-                   let full = Array.make physical.Problem.num_vars 1 in
-                   Array.iteri
-                     (fun k old -> full.(old) <- s.Anneal.Sampler.spins.(k))
-                     old_of_new;
-                   ( Embedding.unembed ~policy:chain_break ~problem:physical
-                       embedding full,
-                     s.Anneal.Sampler.num_occurrences ))
-                response.Anneal.Sampler.samples
-            in
-            (* [Discard] drops broken reads here; an all-broken response
-               falls back to the voted reads so the run stays non-empty. *)
-            let kept =
-              match chain_break with
-              | Embedding.Discard ->
-                let clean =
-                  List.filter
-                    (fun ((u : Embedding.unembedded), _) ->
-                       u.Embedding.broken_chains = 0)
-                    resolved
-                in
-                if clean = [] then resolved else clean
-              | Embedding.Vote | Embedding.Polish -> resolved
-            in
-            let dropped =
-              List.fold_left (fun acc (_, n) -> acc + n) 0 resolved
-              - List.fold_left (fun acc (_, n) -> acc + n) 0 kept
-            in
-            count "discarded-reads" dropped;
-            List.concat_map
-              (fun ((u : Embedding.unembedded), n) ->
-                 let restored =
-                   Qpbo.restore ~original_num_vars:num_logical_vars simplified
-                     u.Embedding.logical
-                 in
-                 List.init n (fun _ -> (restored, u.Embedding.broken_chains)))
-              kept)
-      in
-      ( reads,
-        Some (Embedding.num_physical_qubits embedding),
-        response.Anneal.Sampler.num_reads,
-        response.Anneal.Sampler.elapsed_seconds,
-        response.Anneal.Sampler.timed_out )
+  let solved =
+    solve_problem ?trace ?num_threads ?embed_cache ?timeout_ms ?postprocess ?chain_break
+      ~solver ~target logical
   in
   span "verify" (fun () ->
       (* Aggregate logical reads into named solutions. *)
       let tbl = Hashtbl.create 64 in
       List.iter
-        (fun (spins, broken) ->
+        (fun { spins; occurrences; broken_chains } ->
            let key = Array.to_list spins in
            match Hashtbl.find_opt tbl key with
            | Some (count, worst_broken) ->
-             Hashtbl.replace tbl key (count + 1, max worst_broken broken)
-           | None -> Hashtbl.replace tbl key (1, broken))
-        reads_logical;
+             Hashtbl.replace tbl key (count + occurrences, max worst_broken broken_chains)
+           | None -> Hashtbl.replace tbl key (occurrences, broken_chains))
+        solved.reads;
       let assertion_failures = ref 0 in
       let solutions =
         Hashtbl.fold
@@ -529,12 +511,12 @@ let run ?(pins = []) ?(pin_source = "") ?trace ?(num_threads = 1)
       count "valid-solutions"
         (List.length (List.filter (fun s -> s.valid && s.pins_respected) solutions));
       { solutions;
-        num_reads;
-        elapsed_seconds = elapsed;
-        num_logical_vars;
-        num_physical_qubits;
+        num_reads = solved.num_reads;
+        elapsed_seconds = solved.elapsed_seconds;
+        num_logical_vars = logical.Problem.num_vars;
+        num_physical_qubits = solved.num_physical_qubits;
         assertion_failures = !assertion_failures;
-        timed_out })
+        timed_out = solved.timed_out })
 
 let valid_solutions result =
   List.filter (fun s -> s.valid && s.pins_respected) result.solutions

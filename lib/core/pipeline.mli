@@ -138,6 +138,60 @@ type solution = {
   broken_chains : int;  (** 0 for logical runs *)
 }
 
+type logical_read = {
+  spins : Qac_ising.Problem.spin array;  (** one logical configuration *)
+  occurrences : int;  (** how many reads produced it *)
+  broken_chains : int;  (** of the physical read it came from; 0 for logical runs *)
+}
+
+type solved = {
+  reads : logical_read list;  (** kept reads, in the sampler's sample order *)
+  num_reads : int;  (** reads the sampler took, before any [Discard] *)
+  elapsed_seconds : float;
+  num_physical_qubits : int option;  (** [Some] for physical targets *)
+  timed_out : bool;  (** the solve stage hit its [timeout_ms] deadline *)
+}
+
+(** [solve_problem ~solver ~target problem] is the back half shared by
+    every frontend (circuits through {!run}, CNF through [vqa sat]): solve
+    a logical Ising problem on [target] and return its logical reads.
+    Physical targets go qpbo (when [roof_duality]) -> embed (cache, then
+    CMR, then the clique template) -> {!Qac_embed.Embedding.solve} ->
+    {!Qac_roofdual.Qpbo.restore}.  [trace] records the spans (qpbo, embed
+    — physical targets only,) solve, unembed.  [num_threads] is forwarded
+    to {!dispatch_solver} and — when [embed_params] is not given — to the
+    embedder's parallel tries ({!Qac_embed.Cmr.params.num_threads}).
+    Physical targets consult [embed_cache] (default: the process-wide
+    {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
+    embedding, skips the [embed] span, and records an [embed-cache-hit]
+    counter; a miss records [embed-cache-miss] and populates the cache.
+    [timeout_ms] bounds the solve stage: the absolute deadline is computed
+    when solving starts, samplers return best-so-far on expiry, and
+    [timed_out] (plus a [timed-out] counter on the solve span) reports
+    whether it was hit.
+    [postprocess] ({!Qac_anneal.Composite.postprocess}, default [`None])
+    wraps the solve: [`Polish] steepest-descends every sample (the
+    deadline bounds the polish loop too), [`Gauge] solves under a
+    spin-reversal transform.  [chain_break]
+    ({!Qac_embed.Embedding.chain_break}, default [Vote]) sets how broken
+    chains resolve on physical targets: [Discard] drops broken reads
+    (falling back to voting when every read is broken), [Polish]
+    greedy-repairs the physical configuration before voting; the unembed
+    span carries [broken-chains] and [discarded-reads] counters.  Raises
+    [Qac_diag.Diag.Error] (stage ["pipeline"]) when no embedding is
+    found. *)
+val solve_problem :
+  ?trace:Qac_diag.Trace.t ->
+  ?num_threads:int ->
+  ?embed_cache:Qac_embed.Cache.t ->
+  ?timeout_ms:float ->
+  ?postprocess:Qac_anneal.Composite.postprocess ->
+  ?chain_break:Qac_embed.Embedding.chain_break ->
+  solver:solver ->
+  target:target ->
+  Qac_ising.Problem.t ->
+  solved
+
 type run_result = {
   solutions : solution list;  (** distinct, ascending energy *)
   num_reads : int;
@@ -150,36 +204,19 @@ type run_result = {
           sampler's best-so-far partial results *)
 }
 
-(** [run t ~pins ~solver ~target] executes the compiled program.  [pins]
-    fixes ports (or port bits, via ["C[3]"] names) to integer values —
-    forward execution pins inputs, backward execution pins outputs
-    (section 4.3.6).  Solutions are verified against the netlist and
-    reported whether valid or not (the paper: invalid samples are detected
-    in polynomial time and discarded by the caller).
+(** [run t ~pins ~solver ~target] executes the compiled program:
+    re-assemble with pins, {!solve_problem}, verify.  [pins] fixes ports
+    (or port bits, via ["C[3]"] names) to integer values — forward
+    execution pins inputs, backward execution pins outputs (section
+    4.3.6).  Solutions are verified against the netlist and reported
+    whether valid or not (the paper: invalid samples are detected in
+    polynomial time and discarded by the caller).
     [pin_source] is raw QMASM pin text (one ["name := value"] per line,
     binary strings sized by the bracket range, as on the qmasm command
     line); [pins] is the programmatic integer form.
-    [trace] records the spans assemble, (qpbo, embed — physical targets
-    only,) solve, unembed, verify.  [num_threads] is forwarded to
-    {!dispatch_solver} and — when [embed_params] is not given — to the
-    embedder's parallel tries ({!Qac_embed.Cmr.params.num_threads}).
-    Physical targets consult [embed_cache] (default: the process-wide
-    {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
-    embedding, skips the [embed] span, and records an [embed-cache-hit]
-    counter; a miss records [embed-cache-miss] and populates the cache.
-    [timeout_ms] bounds the solve stage: the absolute deadline is computed
-    when solving starts, samplers return best-so-far on expiry, and
-    [run_result.timed_out] (plus a [timed-out] counter on the solve span)
-    reports whether it was hit.
-    [postprocess] ({!Qac_anneal.Composite.postprocess}, default [`None])
-    wraps the solve: [`Polish] steepest-descends every sample (the
-    deadline bounds the polish loop too), [`Gauge] solves under a
-    spin-reversal transform.  [chain_break]
-    ({!Qac_embed.Embedding.chain_break}, default [Vote]) sets how broken
-    chains resolve on physical targets: [Discard] drops broken reads
-    (falling back to voting when every read is broken, with a
-    [discarded-reads] counter on the unembed span), [Polish]
-    greedy-repairs the physical configuration before voting. *)
+    [trace] records the spans pin, then those of {!solve_problem}, then
+    verify.  Every other optional argument is passed to
+    {!solve_problem} unchanged. *)
 val run :
   ?pins:(string * int) list ->
   ?pin_source:string ->

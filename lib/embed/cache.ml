@@ -168,7 +168,7 @@ let clear t =
       t.evictions <- 0;
       t.store_hits <- 0)
 
-(* Process-wide default, shared by every [Pipeline.run] that is not handed
+(* Process-wide default, shared by every [Pipeline.solve_problem] not handed
    an explicit cache. *)
 let shared_cache = lazy (create ~capacity:64 ())
 let shared () = Lazy.force shared_cache

@@ -61,4 +61,4 @@ val stats : t -> stats
 val clear : t -> unit
 
 val shared : unit -> t
-(** The process-wide cache {!Qac_core.Pipeline.run} defaults to. *)
+(** The process-wide cache {!Qac_core.Pipeline.solve_problem} defaults to. *)

@@ -1,5 +1,7 @@
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
+module Sampler = Qac_anneal.Sampler
+module Trace = Qac_diag.Trace
 
 type t = { chains : int array array }
 
@@ -152,8 +154,8 @@ type unembedded = {
    resolve to a logical spin:
    - [Vote]: majority across the chain, first qubit breaking ties — the
      original behaviour, and the tie-breaker for every other policy.
-   - [Discard]: resolves like [Vote] here; callers drop reads whose
-     [broken_chains] is non-zero (and fall back to the voted reads when
+   - [Discard]: resolves like [Vote] here; [solve] drops reads whose
+     [broken_chains] is non-zero (and falls back to the voted reads when
      every read would drop, so responses stay non-empty).
    - [Polish]: greedy-descend the physical configuration on the embedded
      problem first — the chain couplers pull broken chains back into
@@ -220,3 +222,44 @@ let compact (p : Problem.t) =
   let map = Array.map (fun m -> if m >= 0 then m else 0) new_of_old in
   (* relabel ignores coefficients of unused variables (they have none). *)
   (Problem.relabel p map ~num_vars:!count, old_of_new)
+
+(* The embedded-solve stage every physical path shares: compact, sample,
+   expand each sample to the full index space (unused qubits +1), unembed
+   under [policy].  Each pair keeps its occurrence count, so the unembed
+   runs once per distinct sample, not once per read.  [Discard] drops
+   reads whose chains disagreed; when every read is broken it falls back
+   to the voted reads so the result stays non-empty. *)
+let solve ?trace ?(policy = Vote) ~solver t (physical : Problem.t) =
+  let count key v = Trace.counter_opt trace key v in
+  let compacted, old_of_new = compact physical in
+  let response =
+    Trace.with_span_opt trace "solve" (fun () ->
+        let r = solver compacted in
+        count "reads" r.Sampler.num_reads;
+        count "timed-out" (if r.Sampler.timed_out then 1 else 0);
+        r)
+  in
+  let kept =
+    Trace.with_span_opt trace "unembed" (fun () ->
+        let resolved =
+          List.map
+            (fun (s : Sampler.sample) ->
+               let full = Array.make physical.Problem.num_vars 1 in
+               Array.iteri (fun k old -> full.(old) <- s.Sampler.spins.(k)) old_of_new;
+               (unembed ~policy ~problem:physical t full, s.Sampler.num_occurrences))
+            response.Sampler.samples
+        in
+        let kept =
+          match policy with
+          | Discard ->
+            (match List.filter (fun (u, _) -> u.broken_chains = 0) resolved with
+             | [] -> resolved
+             | clean -> clean)
+          | Vote | Polish -> resolved
+        in
+        let total f = List.fold_left (fun acc (u, n) -> acc + (f u * n)) 0 in
+        count "broken-chains" (total (fun u -> u.broken_chains) resolved);
+        count "discarded-reads" (total (fun _ -> 1) resolved - total (fun _ -> 1) kept);
+        kept)
+  in
+  (response, kept)

@@ -42,7 +42,7 @@ type unembedded = {
 
 (** Chain-break resolution policy.  [Vote] takes the majority spin of each
     chain (first qubit breaks ties).  [Discard] resolves like [Vote] at
-    this level; callers drop reads whose [broken_chains] is non-zero,
+    this level; {!solve} drops reads whose [broken_chains] is non-zero,
     falling back to the voted reads when every read would be dropped.
     [Polish] greedy-descends the physical configuration on the embedded
     problem first (the chain couplers pull broken chains back into
@@ -68,3 +68,24 @@ val unembed :
     problem and the map from new to old indices.  Useful before running a
     sampler on a physical problem that occupies a fraction of the chip. *)
 val compact : Qac_ising.Problem.t -> Qac_ising.Problem.t * int array
+
+(** [solve ?trace ?policy ~solver embedding physical] is the embedded-solve
+    stage of every physical path (single runs, tiled batches, SAT):
+    {!compact} [physical] (the problem {!apply} built for [embedding]), run
+    [solver] on the compacted problem, expand each sample back to the full
+    index space (unused qubits at [+1]), and {!unembed} it under [policy]
+    (default [Vote]).  Returns the raw response over the compacted problem
+    and the kept [(unembedded, occurrences)] pairs, one per distinct
+    sample, in the response's sample order.  [Discard] drops the reads
+    with a broken chain, falling back to the voted reads when every read
+    is broken.  [trace] records a [solve] span (counters [reads],
+    [timed-out]) and an [unembed] span ([broken-chains]: the
+    occurrence-weighted broken-chain total before any discard;
+    [discarded-reads]). *)
+val solve :
+  ?trace:Qac_diag.Trace.t ->
+  ?policy:chain_break ->
+  solver:(Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
+  t ->
+  Qac_ising.Problem.t ->
+  Qac_anneal.Sampler.response * (unembedded * int) list

@@ -5,7 +5,7 @@
     never into its eventual position on the chip — and only clean tiles
     enter the pool, so any placed block is isomorphic (by translation, with
     identical local numbering) to that local graph.  The embedding, local
-    physical problem, and demuxed response of a job therefore depend on
+    physical problem, and solved response of a job therefore depend on
     (job, params) alone, not on what else shares the chip or where the job
     lands.  All fabric geometry lives in {!Qac_chimera.Family}; this module
     only walks the tile grid. *)
@@ -57,7 +57,6 @@ type t = {
   graph : Topology.t;
   problems : Problem.t array;
   outcomes : outcome array;
-  merged : Problem.t;
 }
 
 (* --- Placement geometry ------------------------------------------------------ *)
@@ -125,7 +124,7 @@ let try_embed ?cache local problem eparams =
 (* Find (block, embedding) for one problem — grid-independent.  The ladder
    starts at the smallest block whose capacity covers [slack * num_vars] and
    grows on failure; dense problems get the deterministic clique template as
-   a last resort at each size (mirroring [Pipeline.run]'s fallback). *)
+   a last resort at each size (mirroring [Pipeline.solve_problem]'s fallback). *)
 let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
   let n = problem.Problem.num_vars in
   if n = 0 then Ok (0, { Embedding.chains = [||] })
@@ -237,20 +236,20 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph probl
                   physical }))
       ladders
   in
-  let b = Problem.Builder.create ~num_vars:(Topology.num_qubits graph) () in
-  Array.iter
-    (function
-      | Placed p when p.region.block > 0 ->
-        Problem.Builder.add_problem b p.physical ~var_map:p.region.qubits
-      | Placed _ | Deferred | Failed _ -> ())
-    outcomes;
-  { graph; problems; outcomes; merged = Problem.Builder.build b }
+  { graph; problems; outcomes }
 
+(* Pegasus regions include the local fabric's trimmed boundary qubits, so
+   count only the working ones against the working-qubit denominator. *)
 let occupancy t =
+  let working = Topology.is_working t.graph in
   let used =
     Array.fold_left
       (fun acc o ->
-         match o with Placed p -> acc + Array.length p.region.qubits | _ -> acc)
+         match o with
+         | Placed p ->
+           Array.fold_left (fun acc q -> if working q then acc + 1 else acc) acc
+             p.region.qubits
+         | Deferred | Failed _ -> acc)
       0 t.outcomes
   in
   float_of_int used /. float_of_int (max 1 (Topology.num_working_qubits t.graph))
@@ -264,50 +263,7 @@ let counts t =
        | Failed _ -> (p, d, f + 1))
     (0, 0, 0) t.outcomes
 
-(* --- Solving and response plumbing ------------------------------------------ *)
-
-(* Resolve per-sample physical reads to logical reads under a chain-break
-   policy.  [Discard] drops reads whose chains disagreed; when every read is
-   broken it falls back to the voted reads so the job's response stays
-   non-empty.  Each pair carries its occurrence count so the unembed runs
-   once per distinct sample, not once per read. *)
-let resolve_reads ~policy (p : placed) counted_physicals =
-  let resolved =
-    List.map
-      (fun (ph, n) ->
-         (Embedding.unembed ~policy ~problem:p.physical p.embedding ph, n))
-      counted_physicals
-  in
-  let kept =
-    match (policy : Embedding.chain_break) with
-    | Embedding.Discard ->
-      let clean =
-        List.filter (fun ((u : Embedding.unembedded), _) -> u.Embedding.broken_chains = 0)
-          resolved
-      in
-      if clean = [] then resolved else clean
-    | Embedding.Vote | Embedding.Polish -> resolved
-  in
-  List.concat_map
-    (fun ((u : Embedding.unembedded), n) -> List.init n (fun _ -> u.Embedding.logical))
-    kept
-
-(* Physical-sample list -> logical response for one job: fill the local
-   full-graph array (unused qubits +1), resolve the chains under [policy]
-   (majority vote by default), aggregate.  Energies re-evaluate against the
-   job's own logical Hamiltonian. *)
-let logical_response ?(policy = Embedding.Vote) problem (p : placed) ~old_of_new
-    ~elapsed_seconds ~timed_out samples =
-  let counted =
-    List.map
-      (fun (s : Sampler.sample) ->
-         let full = Array.make p.physical.Problem.num_vars 1 in
-         Array.iteri (fun k old -> full.(old) <- s.Sampler.spins.(k)) old_of_new;
-         (full, s.Sampler.num_occurrences))
-      samples
-  in
-  Sampler.response_of_reads problem ~elapsed_seconds ~timed_out
-    (resolve_reads ~policy p counted)
+(* --- Solving ---------------------------------------------------------------- *)
 
 let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t =
   let n = Array.length t.problems in
@@ -320,84 +276,19 @@ let solve ?(num_threads = 1) ?(chain_break = Embedding.Vote) ?deadline ~solver t
         let response =
           if p.region.block = 0 then Sampler.response_of_reads problem [ [||] ]
           else begin
-            let job_deadline =
-              match deadline with None -> None | Some f -> f i
+            let job_deadline = match deadline with None -> None | Some f -> f i in
+            let r, kept =
+              Embedding.solve ~policy:chain_break ~solver:(solver ~deadline:job_deadline)
+                p.embedding p.physical
             in
-            let compacted, old_of_new = Embedding.compact p.physical in
-            let r = solver ~deadline:job_deadline compacted in
-            logical_response ~policy:chain_break problem p ~old_of_new
-              ~elapsed_seconds:r.Sampler.elapsed_seconds
-              ~timed_out:r.Sampler.timed_out r.Sampler.samples
+            (* Energies re-evaluate against the job's own logical Hamiltonian. *)
+            Sampler.response_of_reads problem ~elapsed_seconds:r.Sampler.elapsed_seconds
+              ~timed_out:r.Sampler.timed_out
+              (List.concat_map
+                 (fun ((u : Embedding.unembedded), n) ->
+                    List.init n (fun _ -> u.Embedding.logical))
+                 kept)
           end
         in
         results.(i) <- Some (i, response));
   Array.to_list results |> List.filter_map Fun.id
-
-(* Expand a response into its per-read configurations, deterministically:
-   samples in listed (energy-sorted) order, each repeated by occurrence. *)
-let expand_reads (r : Sampler.response) =
-  Array.of_list
-    (List.concat_map
-       (fun (s : Sampler.sample) ->
-          List.init s.Sampler.num_occurrences (fun _ -> s.Sampler.spins))
-       r.Sampler.samples)
-
-let merge_responses t responses =
-  let num_reads =
-    match responses with [] -> 0 | (_, r) :: _ -> r.Sampler.num_reads
-  in
-  let expanded =
-    List.map
-      (fun (i, r) ->
-         if r.Sampler.num_reads <> num_reads then
-           invalid_arg "Tiler.merge_responses: responses have unequal num_reads";
-         let p =
-           match t.outcomes.(i) with
-           | Placed p -> p
-           | Deferred | Failed _ ->
-             invalid_arg "Tiler.merge_responses: job was not placed"
-         in
-         (p, expand_reads r))
-      responses
-  in
-  let reads =
-    List.init num_reads (fun r ->
-        let global = Array.make t.merged.Problem.num_vars 1 in
-        List.iter
-          (fun ((p : placed), reads_of_job) ->
-             let local = reads_of_job.(r) in
-             Array.iteri (fun l q -> global.(q) <- local.(l)) p.region.qubits)
-          expanded;
-        global)
-  in
-  let timed_out = List.exists (fun (_, r) -> r.Sampler.timed_out) responses in
-  Sampler.response_of_reads t.merged ~timed_out reads
-
-let demux ?(chain_break = Embedding.Vote) t (response : Sampler.response) =
-  let jobs = ref [] in
-  Array.iter
-    (function
-      | Deferred | Failed _ -> ()
-      | Placed p ->
-        let problem = t.problems.(p.job) in
-        let r =
-          if p.region.block = 0 then
-            Sampler.response_of_reads problem ~timed_out:response.Sampler.timed_out
-              (List.concat_map
-                 (fun (s : Sampler.sample) ->
-                    List.init s.Sampler.num_occurrences (fun _ -> [||]))
-                 response.Sampler.samples)
-          else
-            let counted =
-              List.map
-                (fun (s : Sampler.sample) ->
-                   ( Array.map (fun q -> s.Sampler.spins.(q)) p.region.qubits,
-                     s.Sampler.num_occurrences ))
-                response.Sampler.samples
-            in
-            Sampler.response_of_reads problem ~timed_out:response.Sampler.timed_out
-              (resolve_reads ~policy:chain_break p counted)
-        in
-        jobs := (p.job, r) :: !jobs)
-    t.outcomes;
-  List.rev !jobs

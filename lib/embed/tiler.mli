@@ -1,7 +1,6 @@
 (** Multi-problem tiling: pack N independent logical Ising problems onto one
     hardware graph by carving it into disjoint regions, one per problem, and
-    solving them all in a single (merged) physical Hamiltonian or as a batch
-    of per-region subproblems.  All fabric-specific geometry (tile grid,
+    solving them as a batch of per-region subproblems.  All fabric-specific geometry (tile grid,
     clean tiles, block footprints, local graphs) comes from
     {!Qac_chimera.Family}, so any family that module knows — Chimera and
     Pegasus — tiles identically.
@@ -16,7 +15,7 @@
     two properties at once:
 
     - {b composition invariance}: the embedding, the local physical problem,
-      and hence the demuxed response for a job are pure functions of (job,
+      and hence the solved response for a job are pure functions of (job,
       params) — bit-identical whether the job is solved alone or packed with
       any other jobs, at any thread count;
     - {b cache locality}: every job with the same interaction structure and
@@ -75,9 +74,6 @@ type t = {
   graph : Qac_chimera.Topology.t;
   problems : Qac_ising.Problem.t array;
   outcomes : outcome array;  (** parallel to [problems] *)
-  merged : Qac_ising.Problem.t;
-      (** all placed jobs' physical problems summed over the global qubit
-          index space; disjoint regions guarantee no cross-job couplers *)
 }
 
 (** [tile ?params ?cache ?seeds ?num_threads graph problems] carves [graph]
@@ -100,45 +96,28 @@ val tile :
   t
 
 val occupancy : t -> float
-(** Fraction of the graph's working qubits covered by placed regions. *)
+(** Fraction of the graph's working qubits covered by placed regions: only
+    the working qubits of each region count (a Pegasus block carries the
+    local fabric's trimmed boundary qubits), so the value never exceeds 1. *)
 
 val counts : t -> int * int * int
 (** [(placed, deferred, failed)]. *)
 
 (** [solve ?num_threads ?chain_break ?deadline ~solver t] solves every
-    placed job independently — compact the local physical problem, run
-    [solver], expand and resolve the chains back under [chain_break]
-    ({!Embedding.chain_break}, default [Vote]; [Discard] drops broken
-    reads per job, falling back to voting when all are broken) — and
-    returns [(job, response)] pairs in job order, each response in the
-    job's own logical variable space.  [solver] receives the per-job
-    deadline ([deadline job], absolute [Unix.gettimeofday] instant, [None]
-    when absent) and must be pure up to its arguments: jobs run
-    concurrently across [num_threads] domains, and composition invariance
-    holds only if the solver output depends on the problem alone. *)
+    placed job independently through {!Embedding.solve} — compact the
+    local physical problem, run [solver], expand and resolve the chains
+    under [chain_break] (default [Vote]; [Discard] drops broken reads per
+    job, falling back to voting when all are broken) — and returns
+    [(job, response)] pairs in job order, each response in the job's own
+    logical variable space.  [solver] receives the per-job deadline
+    ([deadline job], absolute [Unix.gettimeofday] instant, [None] when
+    absent) and must be pure up to its arguments: jobs run concurrently
+    across [num_threads] domains, and composition invariance holds only if
+    the solver output depends on the problem alone. *)
 val solve :
   ?num_threads:int ->
   ?chain_break:Embedding.chain_break ->
   ?deadline:(int -> float option) ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   t ->
-  (int * Qac_anneal.Sampler.response) list
-
-(** [merge_responses t responses] zips per-job responses {e in the local
-    physical index space} into one response over the merged (global)
-    problem: read [r] of the result composes read [r] of every job, with
-    unused qubits at [+1].  Every response must carry the same [num_reads];
-    raises [Invalid_argument] otherwise. *)
-val merge_responses :
-  t -> (int * Qac_anneal.Sampler.response) list -> Qac_anneal.Sampler.response
-
-(** [demux ?chain_break t response] splits a response over the merged
-    problem back into per-job logical responses: each read is restricted to
-    the job's region, translated to local indices, and unembedded under
-    [chain_break] (default [Vote]).  Inverse of {!merge_responses} up to
-    chain repair. *)
-val demux :
-  ?chain_break:Embedding.chain_break ->
-  t ->
-  Qac_anneal.Sampler.response ->
   (int * Qac_anneal.Sampler.response) list

@@ -25,7 +25,7 @@
 
     The solver is a closure so this layer stays independent of the compiler
     ([Qac_core]); callers typically wrap [Pipeline.dispatch_solver].  For
-    the demuxed responses to be reproducible — bit-identical whether a job
+    the per-job responses to be reproducible — bit-identical whether a job
     runs alone or inside any batch, at any [num_threads] — the solver must
     be a pure function of its arguments (the stock samplers are, given a
     fixed seed).

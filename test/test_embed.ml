@@ -462,3 +462,98 @@ let family_key_tests =
   ]
 
 let suite = suite @ clique_tests @ pegasus_clique_tests @ family_key_tests
+
+(* --- The embedded-solve stage ---------------------------------------------- *)
+
+(* [Embedding.solve]'s contract on random small problems in C2 and P2, under
+   every chain-break policy.  A weak chain strength and two sweeps make
+   chains break, so [Discard] has reads to drop. *)
+let stage_tests =
+  let module Trace = Qac_diag.Trace in
+  let sum kept = List.fold_left (fun acc (_, n) -> acc + n) 0 kept in
+  let broken_total kept =
+    List.fold_left
+      (fun acc ((u : Embedding.unembedded), n) -> acc + (u.Embedding.broken_chains * n))
+      0 kept
+  in
+  let counter trace name =
+    match Trace.find_counter trace "unembed" name with
+    | Some v -> v
+    | None -> Alcotest.failf "missing unembed counter %s" name
+  in
+  let check_graph graph =
+    let saw_drop = ref false and saw_clean = ref false in
+    for seed = 0 to 11 do
+      let st = Random.State.make [| seed; 4243 |] in
+      let p =
+        let n = 4 + Random.State.int st 5 in
+        let j = ref [] in
+        for i = 0 to n - 1 do
+          for k = i + 1 to n - 1 do
+            if Random.State.int st 3 > 0 then
+              j := ((i, k), Random.State.float st 2.0 -. 1.0) :: !j
+          done
+        done;
+        Problem.create ~num_vars:n
+          ~h:(Array.init n (fun _ -> Random.State.float st 1.0 -. 0.5))
+          ~j:!j ()
+      in
+      let e =
+        match Cmr.find ~params:{ Cmr.default_params with Cmr.seed } graph p with
+        | Some e -> Some e
+        | None -> Qac_embed.Clique.find graph p
+      in
+      match e with
+      | None -> ()
+      | Some e ->
+        let physical = Embedding.apply ~chain_strength:0.25 graph p e in
+        let solver q =
+          Qac_anneal.Sa.sample
+            ~params:{ Qac_anneal.Sa.default_params with
+                      Qac_anneal.Sa.num_reads = 40; num_sweeps = 2; seed = seed + 1 }
+            q
+        in
+        let run policy =
+          let trace = Trace.create () in
+          let r, kept = Embedding.solve ~trace ~policy ~solver e physical in
+          (r, kept, trace)
+        in
+        let r, voted, vtrace = run Embedding.Vote in
+        List.iter
+          (fun policy ->
+             let name = Embedding.string_of_chain_break policy in
+             let r', kept, trace = run policy in
+             let dropped = counter trace "discarded-reads" in
+             Alcotest.(check int) (name ^ ": same raw reads") r.Qac_anneal.Sampler.num_reads
+               r'.Qac_anneal.Sampler.num_reads;
+             Alcotest.(check int) (name ^ ": occurrences sum to the kept reads")
+               (r.Qac_anneal.Sampler.num_reads - dropped) (sum kept);
+             Alcotest.(check int) (name ^ ": broken-chains counter")
+               (broken_total voted) (counter trace "broken-chains");
+             match policy with
+             | Embedding.Discard ->
+               let clean =
+                 List.for_all
+                   (fun ((u : Embedding.unembedded), _) -> u.Embedding.broken_chains = 0)
+                   kept
+               in
+               Alcotest.(check bool) (name ^ ": clean, or the voted set") true
+                 (clean || kept = voted);
+               if clean then saw_clean := true;
+               Alcotest.(check int) (name ^ ": discarded-reads counter")
+                 (sum voted - sum kept) dropped;
+               if dropped > 0 then saw_drop := true
+             | Embedding.Vote | Embedding.Polish ->
+               Alcotest.(check int) (name ^ ": nothing dropped") 0 dropped)
+          [ Embedding.Vote; Embedding.Polish; Embedding.Discard ];
+        Alcotest.(check int) "vote counter" (broken_total voted) (counter vtrace "broken-chains")
+    done;
+    Alcotest.(check bool) "some reads were discarded" true !saw_drop;
+    Alcotest.(check bool) "some discard results were clean" true !saw_clean
+  in
+  [ Alcotest.test_case "embedded solve contract on C2, every policy" `Quick (fun () ->
+        check_graph (Chimera.create 2));
+    Alcotest.test_case "embedded solve contract on P2, every policy" `Quick (fun () ->
+        check_graph (Pegasus.create 2)) ]
+
+let suite = suite @ stage_tests

@@ -400,6 +400,48 @@ let qbsolv_tests =
          Alcotest.(check bool) "decomposer optimizes" true (hard <= 8))
   ]
 
+(* --- the shared back half ---------------------------------------------------- *)
+
+(* [vqa sat --physical] runs CNF through [Pipeline.solve_problem]; with two
+   sweeps and weak chains, reads break, and [Discard] must drop exactly the
+   broken ones that [Vote] keeps. *)
+let back_half_tests =
+  let module P = Qac_core.Pipeline in
+  [ Alcotest.test_case "embedded CNF through solve_problem: discard drops broken reads"
+      `Quick (fun () ->
+          let c =
+            Compile.compile
+              (Dimacs.parse "p cnf 4 6\n1 2 -3 0\n-1 3 4 0\n2 3 -4 0\n-2 -3 4 0\n\
+                             1 -2 4 0\n-1 -3 -4 0\n")
+          in
+          let target =
+            P.Physical
+              { graph = Chimera.create 4;
+                embed_params = None;
+                chain_strength = Some 0.5;
+                roof_duality = false }
+          in
+          let solve chain_break =
+            P.solve_problem ~embed_cache:(Cache.create ()) ~chain_break
+              ~solver:(P.Sa { Sa.default_params with Sa.num_reads = 60; num_sweeps = 2 })
+              ~target c.Compile.problem
+          in
+          let voted = solve Qac_embed.Embedding.Vote in
+          let kept = solve Qac_embed.Embedding.Discard in
+          let occurrences reads =
+            List.fold_left (fun acc (r : P.logical_read) -> acc + r.P.occurrences) 0 reads
+          in
+          Alcotest.(check int) "vote keeps every read" voted.P.num_reads
+            (occurrences voted.P.reads);
+          Alcotest.(check bool) "some reads broke" true
+            (List.exists (fun (r : P.logical_read) -> r.P.broken_chains > 0) voted.P.reads);
+          Alcotest.(check int) "same raw reads" voted.P.num_reads kept.P.num_reads;
+          Alcotest.(check bool) "discard keeps exactly the unbroken reads" true
+            (kept.P.reads
+             = List.filter (fun (r : P.logical_read) -> r.P.broken_chains = 0) voted.P.reads);
+          Alcotest.(check bool) "something survived" true (kept.P.reads <> []))
+  ]
+
 (* --- serving tier ---------------------------------------------------------- *)
 
 let tiler_params =
@@ -548,4 +590,4 @@ let serve_tests =
 
 let suite =
   parser_tests @ gadget_tests @ compiler_tests @ guard_tests @ qbsolv_tests
-  @ serve_tests
+  @ serve_tests @ back_half_tests

@@ -1,5 +1,6 @@
-(** The tiler's contract: disjoint regions (no cross-tile couplers ever),
-    and composition invariance — a job's demuxed response is bit-identical
+(** The tiler's contract: disjoint regions, each sized to its job's local
+    physical problem, and composition invariance — a job's solved response
+    is bit-identical
     whether it is solved alone or packed with any other jobs, at any thread
     count. *)
 
@@ -64,29 +65,36 @@ let dense_problem n =
 
 let jobs = [| chain_problem 5; ring_problem 4; dense_problem 4; chain_problem 3 |]
 
-(* Couplers of the merged problem must stay inside single regions: build the
-   qubit -> job map from the placed regions and check every coupler. *)
+(* Placed regions never share a qubit, and each job's local physical
+   problem spans exactly its region (one variable per region qubit), so no
+   job's couplers can reach outside it. *)
 let check_isolation t =
-  let owner = Array.make t.Tiler.merged.Problem.num_vars (-1) in
+  let owner = Hashtbl.create 256 in
   Array.iter
     (function
       | Tiler.Placed p ->
+        Alcotest.(check int) "physical spans the region"
+          (Array.length p.Tiler.region.Tiler.qubits)
+          p.Tiler.physical.Problem.num_vars;
         Array.iter
           (fun q ->
-             Alcotest.(check bool) "regions disjoint" true (owner.(q) = -1);
-             owner.(q) <- p.Tiler.job)
+             Alcotest.(check bool) "regions disjoint" false (Hashtbl.mem owner q);
+             Hashtbl.replace owner q p.Tiler.job)
           p.Tiler.region.Tiler.qubits
       | Tiler.Deferred | Tiler.Failed _ -> ())
-    t.Tiler.outcomes;
-  Array.iter
-    (fun ((i, j), _) ->
-       Alcotest.(check bool) "coupler inside one region" true
-         (owner.(i) >= 0 && owner.(i) = owner.(j)))
-    t.Tiler.merged.Problem.couplers;
+    t.Tiler.outcomes
+
+(* Per-job tiling output that must not depend on the thread count. *)
+let check_same_tiling t1 t4 =
   Array.iteri
-    (fun q h -> if h <> 0.0 then
-        Alcotest.(check bool) "field inside a region" true (owner.(q) >= 0))
-    t.Tiler.merged.Problem.h
+    (fun i _ ->
+       let p1 = placed_exn t1 i and p4 = placed_exn t4 i in
+       Alcotest.(check bool) "physical problems equal" true
+         (Problem.equal p1.Tiler.physical p4.Tiler.physical);
+       Alcotest.(check (array int)) "region qubits" p1.Tiler.region.Tiler.qubits
+         p4.Tiler.region.Tiler.qubits;
+       Alcotest.(check bool) "embedding equal" true (p1.Tiler.embedding = p4.Tiler.embedding))
+    t1.Tiler.problems
 
 let tiling_tests =
   [ Alcotest.test_case "all jobs place on C6 with disjoint regions" `Quick (fun () ->
@@ -103,16 +111,7 @@ let tiling_tests =
         let graph = Chimera.create 6 in
         let t1 = Tiler.tile ~params ~num_threads:1 graph jobs in
         let t4 = Tiler.tile ~params ~num_threads:4 graph jobs in
-        Alcotest.(check bool) "merged problems equal" true
-          (Problem.equal t1.Tiler.merged t4.Tiler.merged);
-        Array.iteri
-          (fun i _ ->
-             let p1 = placed_exn t1 i and p4 = placed_exn t4 i in
-             Alcotest.(check (array int)) "region qubits" p1.Tiler.region.Tiler.qubits
-               p4.Tiler.region.Tiler.qubits;
-             Alcotest.(check bool) "embedding equal" true
-               (p1.Tiler.embedding = p4.Tiler.embedding))
-          jobs);
+        check_same_tiling t1 t4);
     Alcotest.test_case "broken cells are never used" `Quick (fun () ->
         (* Break one qubit of cell (0,0): the whole cell must leave the pool. *)
         let graph = Chimera.create ~broken:[ 3 ] 6 in
@@ -225,63 +224,9 @@ let solve_tests =
            Alcotest.(check bool) "job 1 unaffected" false r1.Sampler.timed_out
          | _ -> Alcotest.fail "expected two responses")) ]
 
-let demux_tests =
-  [ Alcotest.test_case "merge then demux returns each job's own reads" `Quick
-      (fun () ->
-         let graph = Chimera.create 6 in
-         let t = Tiler.tile ~params graph jobs in
-         (* Solve each job's full local physical problem directly. *)
-         let locals =
-           List.filter_map
-             (fun o ->
-                match o with
-                | Tiler.Placed p ->
-                  Some (p.Tiler.job, solver ~deadline:None p.Tiler.physical)
-                | _ -> None)
-             (Array.to_list t.Tiler.outcomes)
-         in
-         let merged = Tiler.merge_responses t locals in
-         Alcotest.(check int) "merged read count"
-           (match locals with (_, r) :: _ -> r.Sampler.num_reads | [] -> 0)
-           merged.Sampler.num_reads;
-         let demuxed = Tiler.demux t merged in
-         (* Each demuxed response must equal unembedding the job's own local
-            reads — the global round-trip adds or loses nothing. *)
-         List.iter
-           (fun (i, local) ->
-              let p = placed_exn t i in
-              let expected =
-                let reads =
-                  List.concat_map
-                    (fun (s : Sampler.sample) ->
-                       let u = Embedding.unembed p.Tiler.embedding s.Sampler.spins in
-                       List.init s.Sampler.num_occurrences (fun _ ->
-                           u.Embedding.logical))
-                    local.Sampler.samples
-                in
-                Sampler.response_of_reads t.Tiler.problems.(i) reads
-              in
-              match List.assoc_opt i demuxed with
-              | Some got -> check_response (Printf.sprintf "job %d" i) expected got
-              | None -> Alcotest.fail "job missing from demux")
-           locals);
-    Alcotest.test_case "merge_responses rejects ragged read counts" `Quick (fun () ->
-        let graph = Chimera.create 6 in
-        let t = Tiler.tile ~params graph [| chain_problem 3; chain_problem 3 |] in
-        let p0 = placed_exn t 0 and p1 = placed_exn t 1 in
-        let r0 = solver ~deadline:None p0.Tiler.physical in
-        let r1 =
-          Sa.sample
-            ~params:{ Sa.default_params with Sa.num_reads = 2; num_sweeps = 10; seed = 1 }
-            p1.Tiler.physical
-        in
-        Alcotest.check_raises "ragged"
-          (Invalid_argument "Tiler.merge_responses: responses have unequal num_reads")
-          (fun () -> ignore (Tiler.merge_responses t [ (0, r0); (1, r1) ]))) ]
-
-(* QCheck: for random batches of random problems, regions never overlap and
-   no cross-tile coupler is ever emitted, and each job demuxes to exactly
-   the solution set it gets when solved alone. *)
+(* QCheck: for random batches of random problems, regions never overlap,
+   each job's physical problem spans exactly its region, and each job
+   solves to exactly the solution set it gets when solved alone. *)
 let random_problem =
   QCheck.Gen.(
     sized_size (int_range 1 6) (fun n ->
@@ -331,6 +276,56 @@ let qcheck_isolation =
         [ Chimera.create 6; Qac_chimera.Pegasus.create 4 ];
       true)
 
+let accounting_tests =
+  [ Alcotest.test_case "occupancy counts only working qubits" `Quick (fun () ->
+        (* Pegasus blocks carry the local fabric's trimmed boundary qubits;
+           counting them against the working-qubit denominator overstates
+           the ratio, and past 1 on a full chip. *)
+        let graph = Qac_chimera.Pegasus.create 4 in
+        let t = Tiler.tile ~params graph (Array.make 16 (chain_problem 3)) in
+        let placed, _, _ = Tiler.counts t in
+        Alcotest.(check bool) "several placed" true (placed > 1);
+        let working =
+          Array.fold_left
+            (fun acc o ->
+               match o with
+               | Tiler.Placed p ->
+                 acc
+                 + Array.fold_left
+                     (fun n q ->
+                        if Qac_chimera.Topology.is_working graph q then n + 1 else n)
+                     0 p.Tiler.region.Tiler.qubits
+               | Tiler.Deferred | Tiler.Failed _ -> acc)
+            0 t.Tiler.outcomes
+        in
+        let expected =
+          float_of_int working
+          /. float_of_int (Qac_chimera.Topology.num_working_qubits graph)
+        in
+        Alcotest.(check (float 1e-12)) "working region qubits / working qubits" expected
+          (Tiler.occupancy t);
+        Alcotest.(check bool) "occupancy at most 1" true (Tiler.occupancy t <= 1.0));
+    Alcotest.test_case "composition invariance under discard" `Quick (fun () ->
+        (* Weak chains and two sweeps break chains, so [Discard] has reads to
+           drop; a job's kept reads must still not depend on its batch. *)
+        let params = { params with Tiler.chain_strength = Some 0.25 } in
+        let solver ~deadline p =
+          Sa.sample
+            ~params:{ Sa.default_params with Sa.num_reads = 20; num_sweeps = 2; seed = 5 }
+            ?deadline p
+        in
+        let graph = Chimera.create 6 in
+        let solve t = Tiler.solve ~chain_break:Embedding.Discard ~solver t in
+        let batched = solve (Tiler.tile ~params graph jobs) in
+        Array.iteri
+          (fun i p ->
+             match (solve (Tiler.tile ~params graph [| p |]), List.assoc_opt i batched) with
+             | [ (0, ra) ], Some rb -> check_response (Printf.sprintf "job %d" i) ra rb
+             | _ -> Alcotest.fail "missing response")
+          jobs;
+        Alcotest.(check bool) "some job dropped reads" true
+          (List.exists (fun (_, r) -> r.Sampler.num_reads < 20) batched)) ]
+
 let pegasus_tests =
   let graph = Qac_chimera.Pegasus.create 4 in
   [ Alcotest.test_case "all jobs place on P4 with disjoint regions" `Quick (fun () ->
@@ -354,16 +349,8 @@ let pegasus_tests =
       (fun () ->
          let t1 = Tiler.tile ~params ~num_threads:1 graph jobs in
          let t4 = Tiler.tile ~params ~num_threads:4 graph jobs in
-         Alcotest.(check bool) "merged problems equal" true
-           (Problem.equal t1.Tiler.merged t4.Tiler.merged);
-         Array.iteri
-           (fun i _ ->
-              let p1 = placed_exn t1 i and p4 = placed_exn t4 i in
-              Alcotest.(check (array int)) "region qubits" p1.Tiler.region.Tiler.qubits
-                p4.Tiler.region.Tiler.qubits)
-           jobs);
-  ]
+         check_same_tiling t1 t4) ]
 
 let suite =
-  tiling_tests @ solve_tests @ demux_tests @ pegasus_tests
+  tiling_tests @ solve_tests @ accounting_tests @ pegasus_tests
   @ [ QCheck_alcotest.to_alcotest qcheck_isolation ]

@@ -75,7 +75,7 @@ let suite =
           P.run t ~pins:[ ("a", 3); ("b", 5) ] ~trace ~solver:(P.Sa params)
             ~target:P.Logical
         in
-        Alcotest.(check (list string)) "stages" [ "assemble"; "solve"; "verify" ]
+        Alcotest.(check (list string)) "stages" [ "pin"; "solve"; "verify" ]
           (span_names trace);
         Alcotest.(check int) "reads" 20 (counter_exn trace "solve" "reads");
         Alcotest.(check bool) "solutions counted" true
@@ -100,7 +100,7 @@ let suite =
              ~target
          in
          Alcotest.(check (list string)) "stages"
-           [ "assemble"; "qpbo"; "embed"; "solve"; "unembed"; "verify" ]
+           [ "pin"; "qpbo"; "embed"; "solve"; "unembed"; "verify" ]
            (span_names trace);
          Alcotest.(check int) "cold run misses the cache" 1
            (counter_exn trace "embed" "embed-cache-miss");
@@ -110,7 +110,9 @@ let suite =
          Alcotest.(check (option int)) "matches run_result" (Some qubits)
            r.P.num_physical_qubits;
          Alcotest.(check bool) "max chain length" true
-           (counter_exn trace "embed" "max-chain-length" >= 1));
+           (counter_exn trace "embed" "max-chain-length" >= 1);
+         Alcotest.(check int) "exact sampler breaks no chain" 0
+           (counter_exn trace "unembed" "broken-chains"));
     Alcotest.test_case "warm embed cache skips the embed span" `Quick (fun () ->
         let t =
           P.compile
@@ -211,4 +213,28 @@ let suite =
         let r = P.run t ~trace ~solver:(P.Sa params) ~target:P.Logical in
         Alcotest.(check bool) "not flagged" false r.P.timed_out;
         Alcotest.(check int) "trace counter" 0 (counter_exn trace "solve" "timed-out"));
+    Alcotest.test_case "span names in a compile+run trace are unique" `Quick (fun () ->
+        let trace = Trace.create () in
+        let t =
+          P.compile ~trace
+            "module t (a, b, o); input a, b; output o; assign o = a ^ b; endmodule"
+        in
+        let target =
+          P.Physical
+            { graph = Qac_chimera.Chimera.create 4;
+              embed_params = None;
+              chain_strength = None;
+              roof_duality = false }
+        in
+        let (_ : P.run_result) =
+          P.run t ~pins:[ ("o", 1) ] ~trace
+            ~embed_cache:(Qac_embed.Cache.create ())
+            ~solver:
+              (P.Sa { Qac_anneal.Sa.default_params with Qac_anneal.Sa.num_reads = 5 })
+            ~target
+        in
+        let names = span_names trace in
+        Alcotest.(check bool) "pin span present" true (List.mem "pin" names);
+        Alcotest.(check (list string)) "no duplicates" (List.sort_uniq compare names)
+          (List.sort compare names));
   ]
