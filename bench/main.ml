@@ -10,24 +10,19 @@
       breakdown (times + size counters) for a compile+run of a multiplier.
     - [dune exec bench/main.exe -- parallel] measures domain-parallel SA
       read-batch scaling on a 300-variable spin glass.
-    - [dune exec bench/main.exe -- kernel [smoke]] compares the list-walking
-      baseline sweep kernel against the CSR + incremental-field kernel on
-      Chimera-structured spin glasses and writes [BENCH_ANNEAL.json].
-      [smoke] restricts to small sizes/sweep counts for CI.
-    - [dune exec bench/main.exe -- embed [smoke]] compares the pre-PR minor
-      embedder ({!Embed_baseline}) against the CSR + scratch-reusing
-      [Qac_embed.Cmr] on spin-glass and multiplier interaction graphs,
-      measures the embedding cache cold/warm behaviour, and writes
-      [BENCH_EMBED.json].
-    - [dune exec bench/main.exe -- batch [smoke]] compares batched-tiled
-      serving ([Qac_serve] packing jobs onto one C16 via [Qac_embed.Tiler])
-      against sequential [Pipeline.run] per job on a fleet of small
-      circuits, and writes [BENCH_BATCH.json].
-    - [dune exec bench/main.exe -- serve [smoke]] pushes the same mixed
-      workload through the sharded serving tier (1 vs 4 shards, affinity
-      vs round-robin routing, in-process vs through the socket front end),
-      checks responses stay bit-identical across every arm, and writes
-      [BENCH_SERVE.json].
+    - [dune exec bench/main.exe -- kernel [smoke]] times the CSR +
+      incremental-field sweep kernel and the bit-parallel 64-lane kernel on
+      Chimera-structured spin glasses, plus composite post-processing
+      valid-read rates, and writes [BENCH_ANNEAL.json].  [smoke] restricts
+      to small sizes/sweep counts for CI.
+    - [dune exec bench/main.exe -- embed [smoke]] times [Qac_embed.Cmr] on
+      spin-glass and multiplier interaction graphs, measures the embedding
+      cache cold/warm behaviour, and writes [BENCH_EMBED.json].
+    - [dune exec bench/main.exe -- serve [smoke] [--store DIR]] serves a
+      fleet of pinned small circuits tiled onto one C16 (in-process [Serve],
+      1 vs 4 affinity-routed shards, through the socket front end, cold
+      and warm artifact store, duplicate-heavy), checks responses stay
+      bit-identical across every arm, and writes [BENCH_SERVE.json].
     - [dune exec bench/main.exe -- pegasus [smoke]] compares Pegasus against
       Chimera at matched working-qubit budgets (C4 vs P3, C8 vs P5): minor
       embedding of the paper's circuits (qubit counts, max/mean chain
@@ -225,37 +220,6 @@ let chimera_glass ~m ~seed =
   in
   Qac_ising.Problem.create ~num_vars:n ~h ~j ()
 
-(* The pre-CSR kernel, verbatim: adjacency as a boxed [(int * float) list]
-   per spin (built by prepending, as [adjacency_of_couplers] did), local
-   field re-derived by a list fold on every proposal. *)
-let baseline_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
-  let n = p.Qac_ising.Problem.num_vars in
-  let adj = Array.make n [] in
-  Array.iter
-    (fun ((i, j), v) ->
-       adj.(i) <- (j, v) :: adj.(i);
-       adj.(j) <- (i, v) :: adj.(j))
-    p.Qac_ising.Problem.couplers;
-  let module Rng = Qac_anneal.Rng in
-  let spins = Rng.spins rng n in
-  let order = Array.init n (fun i -> i) in
-  for step = 0 to num_sweeps - 1 do
-    let beta = Qac_anneal.Schedule.beta schedule ~step ~num_steps:num_sweeps in
-    Rng.shuffle rng order;
-    Array.iter
-      (fun i ->
-         let field =
-           List.fold_left
-             (fun acc (j, v) -> acc +. (v *. float_of_int spins.(j)))
-             p.Qac_ising.Problem.h.(i) adj.(i)
-         in
-         let delta = -2.0 *. float_of_int spins.(i) *. field in
-         if delta <= 0.0 || Rng.float rng < exp (-.beta *. delta) then
-           spins.(i) <- -spins.(i))
-      order
-  done;
-  Qac_ising.Problem.energy p spins
-
 let csr_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
   let module State = Qac_anneal.State in
   let st = State.random p rng in
@@ -345,10 +309,19 @@ let kernel_bench ~smoke () =
   in
   let repeats = if smoke then 1 else 3 in
   Printf.printf
-    "annealing kernel: list-walking baseline vs CSR + incremental fields vs \
-     bit-parallel 64-lane blocks\n\
-     (Chimera-structured spin glass, shore 4; identical RNG streams for \
-     baseline/csr)\n";
+    "annealing kernel: CSR + incremental fields vs bit-parallel 64-lane blocks\n\
+     (Chimera-structured spin glass, shore 4)\n";
+  (* Warm up once, then keep the fastest of [repeats] runs (the
+     least-disturbed measurement on a shared machine). *)
+  let best_of once =
+    ignore (once ());
+    let best = ref (once ()) in
+    for _ = 2 to repeats do
+      let (seconds, _) as r = once () in
+      if seconds < fst !best then best := r
+    done;
+    !best
+  in
   let rows =
     List.map
       (fun (m, num_sweeps) ->
@@ -356,25 +329,13 @@ let kernel_bench ~smoke () =
          let n = p.Qac_ising.Problem.num_vars in
          let couplers = Qac_ising.Problem.num_interactions p in
          let schedule = Qac_anneal.Schedule.create p in
-         let time_once f =
-           let rng = Rng.create 7 in
-           let t0 = Unix.gettimeofday () in
-           let energy = f p ~rng ~schedule ~num_sweeps in
-           (Unix.gettimeofday () -. t0, energy)
+         let csr_seconds, csr_energy =
+           best_of (fun () ->
+               let rng = Rng.create 7 in
+               let t0 = Unix.gettimeofday () in
+               let energy = csr_sweeps p ~rng ~schedule ~num_sweeps in
+               (Unix.gettimeofday () -. t0, energy))
          in
-         (* Warm up once, then keep the fastest of [repeats] runs (the
-            least-disturbed measurement on a shared machine). *)
-         let time f =
-           ignore (time_once f);
-           let best = ref (time_once f) in
-           for _ = 2 to repeats do
-             let (seconds, _) as r = time_once f in
-             if seconds < fst !best then best := r
-           done;
-           !best
-         in
-         let baseline_seconds, baseline_energy = time baseline_sweeps in
-         let csr_seconds, csr_energy = time csr_sweeps in
          (* The packed kernel anneals 64 replicas per pass; its figure of
             merit is {e aggregate} spin-updates/s across the block.  The
             quantized problem and threshold tables are built once outside
@@ -383,52 +344,38 @@ let kernel_bench ~smoke () =
          let lanes = Bitpar.max_lanes in
          let q = Bitpar.quantize p in
          let acceptance = Bitpar.acceptance q schedule ~num_sweeps in
-         let bitpar_once () =
-           let t0 = Unix.gettimeofday () in
-           let r = Bitpar.anneal_block q ~acceptance ~lanes ~block_seed:7 in
-           let seconds = Unix.gettimeofday () -. t0 in
-           let e =
-             Array.fold_left
-               (fun acc spins -> Float.min acc (Qac_ising.Problem.energy p spins))
-               infinity r.Bitpar.reads
-           in
-           (seconds, e)
-         in
          let bitpar_seconds, bitpar_energy =
-           ignore (bitpar_once ());
-           let best = ref (bitpar_once ()) in
-           for _ = 2 to repeats do
-             let (seconds, _) as r = bitpar_once () in
-             if seconds < fst !best then best := r
-           done;
-           !best
+           best_of (fun () ->
+               let t0 = Unix.gettimeofday () in
+               let r = Bitpar.anneal_block q ~acceptance ~lanes ~block_seed:7 in
+               let seconds = Unix.gettimeofday () -. t0 in
+               let e =
+                 Array.fold_left
+                   (fun acc spins -> Float.min acc (Qac_ising.Problem.energy p spins))
+                   infinity r.Bitpar.reads
+               in
+               (seconds, e))
          in
-         let rate seconds = float_of_int num_sweeps /. seconds in
-         let speedup = baseline_seconds /. csr_seconds in
          let csr_updates = float_of_int (n * num_sweeps) /. csr_seconds in
          let bitpar_agg_updates =
            float_of_int (n * num_sweeps * lanes) /. bitpar_seconds
          in
          let bitpar_ratio = bitpar_agg_updates /. csr_updates in
          Printf.printf
-           "  n=%-5d couplers=%-5d sweeps=%-4d baseline=%8.1f sw/s  csr=%9.1f \
-            sw/s  speedup=%5.2fx  bitpar=%6.0fM agg upd/s (%4.2fx csr)  \
-            (E_base=%g E_csr=%g E_bp=%g)\n"
-           n couplers num_sweeps (rate baseline_seconds) (rate csr_seconds) speedup
-           (bitpar_agg_updates /. 1e6) bitpar_ratio baseline_energy csr_energy
-           bitpar_energy;
+           "  n=%-5d couplers=%-5d sweeps=%-4d csr=%9.1f sw/s  bitpar=%6.0fM agg \
+            upd/s (%4.2fx csr)  (E_csr=%g E_bp=%g)\n"
+           n couplers num_sweeps
+           (float_of_int num_sweeps /. csr_seconds)
+           (bitpar_agg_updates /. 1e6) bitpar_ratio csr_energy bitpar_energy;
          Printf.sprintf
            "    { \"num_vars\": %d, \"num_couplers\": %d, \"num_sweeps\": %d,\n\
-           \      \"baseline_seconds\": %.6f, \"csr_seconds\": %.6f,\n\
-           \      \"baseline_sweeps_per_sec\": %.1f, \"csr_sweeps_per_sec\": %.1f,\n\
-           \      \"baseline_spin_updates_per_sec\": %.0f, \"csr_spin_updates_per_sec\": %.0f,\n\
-           \      \"speedup\": %.2f,\n\
+           \      \"csr_seconds\": %.6f, \"csr_sweeps_per_sec\": %.1f,\n\
+           \      \"csr_spin_updates_per_sec\": %.0f,\n\
            \      \"bitpar_seconds\": %.6f, \"bitpar_lanes\": %d, \"bitpar_num_threads\": 1,\n\
            \      \"bitpar_agg_spin_updates_per_sec\": %.0f, \"bitpar_vs_csr\": %.2f }"
-           n couplers num_sweeps baseline_seconds csr_seconds (rate baseline_seconds)
-           (rate csr_seconds)
-           (float_of_int (n * num_sweeps) /. baseline_seconds)
-           csr_updates speedup bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
+           n couplers num_sweeps csr_seconds
+           (float_of_int num_sweeps /. csr_seconds)
+           csr_updates bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
       cases
   in
   let composites = composite_rows ~smoke () in
@@ -438,8 +385,7 @@ let kernel_bench ~smoke () =
     \  \"benchmark\": \"anneal-kernel\",\n\
     \  \"mode\": \"%s\",\n\
     \  \"workload\": \"Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule\",\n\
-    \  \"kernels\": { \"baseline\": \"boxed (int * float) list adjacency, field re-derived per proposal\",\n\
-    \                 \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
+    \  \"kernels\": { \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
     \                 \"bitpar\": \"64 replicas per block, integer quantized fields, shared threshold tables; aggregate updates/s, single-threaded (blocks scale across domains via Parallel)\" },\n\
     \  \"results\": [\n%s\n  ],\n\
     \  \"composite_valid_read_rate\": [\n%s\n  ]\n}\n"
@@ -485,8 +431,7 @@ let multiplier_problem () =
 
 let embed_bench ~smoke () =
   let module Embedding = Qac_embed.Embedding in
-  (* (name, chimera grid size, logical problem).  The C8 spin glass is the
-     acceptance workload: 512 physical qubits, single-threaded. *)
+  (* (name, chimera grid size, logical problem). *)
   let cases =
     if smoke then
       [ ("C4 spin glass", 4, random_logical ~num_vars:12 ~chords:12 ~seed:11);
@@ -498,14 +443,12 @@ let embed_bench ~smoke () =
         ("C16 spin glass", 16, random_logical ~num_vars:72 ~chords:72 ~seed:13) ]
   in
   let tries = if smoke then 1 else 2 in
-  (* The embedders use their RNG differently, so one seed's trajectory (how
-     many refinement passes until a valid minor) is luck; summing over a few
-     seeds compares the algorithms, not the dice. *)
+  (* One seed's trajectory (how many refinement passes until a valid minor)
+     is luck; summing over a few seeds measures the algorithm, not the
+     dice. *)
   let seeds = if smoke then [ 5 ] else [ 5; 6; 7; 8; 9; 10 ] in
-  Printf.printf
-    "minor embedding: pre-PR baseline (tuple heap, per-call arrays, Hashtbl trim)\n\
-     vs CSR + scratch-reusing Cmr (tries=%d, single-threaded, %d seed(s))\n"
-    tries (List.length seeds);
+  Printf.printf "minor embedding: Cmr (tries=%d, single-threaded, %d seed(s))\n" tries
+    (List.length seeds);
   let rows =
     List.map
       (fun (name, m, p) ->
@@ -513,18 +456,22 @@ let embed_bench ~smoke () =
          let num_qubits = Qac_chimera.Chimera.num_qubits graph in
          let couplers = Qac_ising.Problem.num_interactions p in
          (* Sum wall time across seeds; keep the best embedding found. *)
-         let time f =
+         let seconds, best, ok =
            List.fold_left
              (fun (total, best, ok) seed ->
                 (* Per-seed results are deterministic, so the min of two
                    timings measures the same computation with less of the
-                   shared container's scheduling noise.  [Gc.compact] levels
-                   the playing field: whoever runs second must not inherit
-                   the other's major-heap garbage. *)
+                   shared machine's scheduling noise; [Gc.compact] keeps
+                   the second run from inheriting the first one's garbage. *)
                 let timed_once () =
                   Gc.compact ();
                   let t0 = Unix.gettimeofday () in
-                  let e = f seed in
+                  let e =
+                    Qac_embed.Cmr.find
+                      ~params:
+                        { Qac_embed.Cmr.default_params with tries; seed; num_threads = 1 }
+                      graph p
+                  in
                   (Unix.gettimeofday () -. t0, e)
                 in
                 let t1, embedding = timed_once () in
@@ -539,51 +486,26 @@ let embed_bench ~smoke () =
                    | _ -> (total, Some (q, e), ok + 1)))
              (0.0, None, 0) seeds
          in
-         let baseline_seconds, baseline_best, baseline_ok =
-           time (fun seed ->
-               Embed_baseline.find
-                 ~params:{ Embed_baseline.default_params with tries; seed }
-                 graph p)
-         in
-         let optimized_seconds, optimized_best, optimized_ok =
-           time (fun seed ->
-               Qac_embed.Cmr.find
-                 ~params:
-                   { Qac_embed.Cmr.default_params with tries; seed; num_threads = 1 }
-                 graph p)
-         in
          (* Whatever was found must be a valid minor; quality (qubit count,
-            success rate) is reported so a speedup can't hide a regression. *)
-         List.iter
-           (fun (who, best, ok) ->
-              if ok = 0 then failwith (who ^ " never embedded " ^ name);
-              match best with
-              | Some (_, e) ->
-                (match Embedding.verify graph p e with
-                 | Ok () -> ()
-                 | Error msg -> failwith (who ^ " invalid on " ^ name ^ ": " ^ msg))
-              | None -> ())
-           [ ("baseline", baseline_best, baseline_ok);
-             ("optimized", optimized_best, optimized_ok) ];
-         let qubits = function Some (q, _) -> q | None -> -1 in
-         let speedup = baseline_seconds /. optimized_seconds in
-         Printf.printf
-           "  %-16s n=%-3d couplers=%-3d qubits=%-5d baseline=%8.3fs (%d qb, %d/%d)  \
-            optimized=%7.3fs (%d qb, %d/%d)  speedup=%5.2fx\n"
-           name p.Qac_ising.Problem.num_vars couplers num_qubits baseline_seconds
-           (qubits baseline_best) baseline_ok (List.length seeds) optimized_seconds
-           (qubits optimized_best) optimized_ok (List.length seeds) speedup;
+            success rate) is reported beside the time. *)
+         if ok = 0 then failwith ("Cmr never embedded " ^ name);
+         let qubits =
+           match best with
+           | Some (q, e) ->
+             (match Embedding.verify graph p e with
+              | Ok () -> q
+              | Error msg -> failwith ("Cmr invalid on " ^ name ^ ": " ^ msg))
+           | None -> -1
+         in
+         Printf.printf "  %-16s n=%-3d couplers=%-3d qubits=%-5d %7.3fs (%d qb, %d/%d)\n"
+           name p.Qac_ising.Problem.num_vars couplers num_qubits seconds qubits ok
+           (List.length seeds);
          Printf.sprintf
            "    { \"name\": %S, \"chimera_m\": %d, \"num_qubits\": %d,\n\
            \      \"logical_vars\": %d, \"logical_couplers\": %d, \"tries\": %d, \"seeds\": %d,\n\
-           \      \"baseline_seconds\": %.6f, \"optimized_seconds\": %.6f,\n\
-           \      \"baseline_embedding_qubits\": %d, \"optimized_embedding_qubits\": %d,\n\
-           \      \"baseline_successes\": %d, \"optimized_successes\": %d,\n\
-           \      \"speedup\": %.2f }"
+           \      \"seconds\": %.6f, \"embedding_qubits\": %d, \"successes\": %d }"
            name m num_qubits p.Qac_ising.Problem.num_vars couplers tries
-           (List.length seeds) baseline_seconds optimized_seconds
-           (qubits baseline_best) (qubits optimized_best) baseline_ok optimized_ok
-           speedup)
+           (List.length seeds) seconds qubits ok)
       cases
   in
   (* Cache behaviour: a second Pipeline.run of the same circuit shape must
@@ -644,8 +566,7 @@ let embed_bench ~smoke () =
     \  \"benchmark\": \"minor-embedding\",\n\
     \  \"mode\": \"%s\",\n\
     \  \"workload\": \"CMR minor embedding into Chimera (shore 4), spin-glass and multiplier interaction graphs\",\n\
-    \  \"embedders\": { \"baseline\": \"pre-PR: tuple-boxed heap, per-Dijkstra array allocation, Hashtbl trim\",\n\
-    \                   \"optimized\": \"CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\" },\n\
+    \  \"embedder\": \"Cmr: CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\",\n\
     \  \"results\": [\n%s\n  ],\n\
     \  \"cache\": { \"cold_embed_seconds\": %.6f, \"warm_embed_seconds\": %.6f,\n\
     \              \"warm_cache_hits\": %d, \"warm_embed_span_skipped\": %b }\n\
@@ -656,177 +577,14 @@ let embed_bench ~smoke () =
   close_out oc;
   Printf.printf "wrote BENCH_EMBED.json\n"
 
-(* --- Batch serving benchmark ------------------------------------------------ *)
-
-(* Both arms solve the same fleet of pinned adder/logic circuits against a
-   C16: the sequential arm embeds each job into the full 2048-qubit graph
-   (Pipeline.run, one job at a time); the batched arm hands all jobs to the
-   serve scheduler, which embeds each into a small local C_k, tiles them
-   side by side, and solves them concurrently.  Compilation is hoisted out
-   of both timings — the comparison is about serving, not the front end. *)
-let batch_bench ~smoke () =
-  let module P = Qac_core.Pipeline in
-  let module Serve = Qac_serve.Serve in
-  let module Tiler = Qac_embed.Tiler in
-  let module Sampler = Qac_anneal.Sampler in
-  let widths = if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
-  let circuits =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "j%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, P.compile src))
-           ops)
-      widths
-  in
-  let jobs =
-    List.mapi
-      (fun i (name, w, t) ->
-         let pins = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
-         (i, name, t, pins))
-      circuits
-  in
-  let n = List.length jobs in
-  let tries = if smoke then 2 else 8 in
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
-  let threads = min 8 (Domain.recommended_domain_count ()) in
-  let graph = Qac_chimera.Chimera.create 16 in
-  Printf.printf
-    "batch serving: sequential Pipeline.run vs tiled Serve on %s\n\
-     (%d circuits, SA %d reads x %d sweeps, embed tries=%d, %d threads)\n"
-    graph.Qac_chimera.Topology.name n sa_params.Qac_anneal.Sa.num_reads
-    sa_params.Qac_anneal.Sa.num_sweeps tries threads;
-  let count_valid t program (resp : Sampler.response) =
-    List.exists
-      (fun (s : Sampler.sample) ->
-         (P.solution_of_spins t ~program s.Sampler.spins).P.valid)
-      resp.Sampler.samples
-  in
-  (* Sequential arm: one full-graph embed + solve per job. *)
-  let seq_cache = Qac_embed.Cache.create () in
-  let seq_valid = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (_, _, t, pins) ->
-       let r =
-         P.run t ~pins ~num_threads:threads ~embed_cache:seq_cache
-           ~solver:(P.Sa sa_params)
-           ~target:
-             (P.Physical
-                { graph;
-                  embed_params =
-                    Some { Qac_embed.Cmr.default_params with tries; num_threads = threads };
-                  chain_strength = None;
-                  roof_duality = false })
-       in
-       if P.valid_solutions r <> [] then incr seq_valid)
-    jobs;
-  let sequential_seconds = Unix.gettimeofday () -. t0 in
-  (* Batched arm: submit everything, let the scheduler tile and solve. *)
-  let batch_cache = Qac_embed.Cache.create () in
-  (* CMR wants generous headroom on Chimera (chains eat qubits): slack 6
-     makes the ladder's first block size succeed for nearly every job, so
-     tiling pays one cheap local embed per job instead of climbing through
-     failed attempts at tight sizes. *)
-  let tiler_params =
-    { Tiler.default_params with
-      Tiler.slack = 6.0;
-      Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries } }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
-  let programs = Hashtbl.create n in
-  let t0 = Unix.gettimeofday () in
-  let service =
-    Serve.create ~batch_jobs:n ~num_threads:threads ~tiler_params
-      ~embed_cache:batch_cache ~solver ~graph ()
-  in
-  List.iter
-    (fun (i, name, t, pins) ->
-       let program = P.assemble_with_pins ~pins t in
-       let id = Printf.sprintf "%s#%d" name i in
-       Hashtbl.replace programs id (t, program);
-       Serve.submit service
-         { Serve.id; problem = program.Qac_qmasm.Assemble.problem; timeout_ms = None })
-    jobs;
-  let results = Serve.drain service in
-  let batched_seconds = Unix.gettimeofday () -. t0 in
-  let batch_valid = ref 0 and batch_done = ref 0 in
-  List.iter
-    (fun (r : Serve.result) ->
-       (match r.Serve.status with Serve.Done -> incr batch_done | _ -> ());
-       match r.Serve.response with
-       | Some resp ->
-         let t, program = Hashtbl.find programs r.Serve.id in
-         if count_valid t program resp then incr batch_valid
-       | None -> ())
-    results;
-  let st = Serve.stats service in
-  let { Qac_embed.Cache.hits; misses; _ } = Qac_embed.Cache.stats batch_cache in
-  let jps seconds = float_of_int n /. seconds in
-  let speedup = sequential_seconds /. batched_seconds in
-  Printf.printf
-    "  sequential: %7.2fs (%5.2f jobs/s, %d/%d valid)\n\
-    \  batched:    %7.2fs (%5.2f jobs/s, %d/%d done, %d/%d valid)\n\
-    \  speedup=%5.2fx  batches=%d  occupancy=%.1f%%  deferrals=%d  cache=%d hit/%d miss\n"
-    sequential_seconds (jps sequential_seconds) !seq_valid n batched_seconds
-    (jps batched_seconds) !batch_done n !batch_valid n speedup st.Serve.batches
-    (100.0 *. st.Serve.mean_occupancy) st.Serve.deferrals hits misses;
-  let oc = open_out "BENCH_BATCH.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"batch-serving\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"pinned adder/xor/and/or circuits, SA %d reads x %d sweeps, embed tries=%d\",\n\
-    \  \"topology\": %S,\n\
-    \  \"num_jobs\": %d,\n\
-    \  \"threads\": %d,\n\
-    \  \"sequential_seconds\": %.6f,\n\
-    \  \"batched_seconds\": %.6f,\n\
-    \  \"sequential_jobs_per_sec\": %.3f,\n\
-    \  \"batched_jobs_per_sec\": %.3f,\n\
-    \  \"speedup\": %.2f,\n\
-    \  \"sequential_valid\": %d,\n\
-    \  \"batched_done\": %d,\n\
-    \  \"batched_valid\": %d,\n\
-    \  \"batches\": %d,\n\
-    \  \"mean_occupancy_pct\": %.1f,\n\
-    \  \"deferrals\": %d,\n\
-    \  \"embed_cache_hits\": %d,\n\
-    \  \"embed_cache_misses\": %d\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries
-    graph.Qac_chimera.Topology.name n threads sequential_seconds batched_seconds
-    (jps sequential_seconds) (jps batched_seconds) speedup !seq_valid !batch_done
-    !batch_valid st.Serve.batches
-    (100.0 *. st.Serve.mean_occupancy)
-    st.Serve.deferrals hits misses;
-  close_out oc;
-  Printf.printf "wrote BENCH_BATCH.json\n"
-
 (* --- Sharded serving tier ---------------------------------------------------- *)
 
-(* The mixed workload from [batch_bench] pushed through the Shard pool at 1
-   and 4 shards, with affinity vs round-robin routing as the cache
-   experiment, plus one arm through the socket front end.  Three claims
-   under test: (1) a 1-shard pool costs nothing over the in-process batch
-   path; (2) affinity routing beats round-robin on aggregate embed-cache
-   hit rate (same-shaped jobs land on the same warm cache); (3) responses
-   are bit-identical across every arm — shard count, routing policy and
-   the wire change scheduling and placement, never answers. *)
+(* A fleet of pinned add/xor/and/or circuits on a C16, served in-process
+   by one [Serve], through the Shard pool at 1 and 4 shards, and through
+   the socket front end, plus store and duplicate-heavy arms.  Claims under
+   test: (1) a 1-shard pool costs nothing over the in-process batch path;
+   (2) responses are bit-identical across every arm — shard count and the
+   wire change scheduling and placement, never answers. *)
 let serve_bench ~smoke ?store_dir () =
   let module P = Qac_core.Pipeline in
   let module Serve = Qac_serve.Serve in
@@ -920,8 +678,8 @@ let serve_bench ~smoke ?store_dir () =
     in
     if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
   in
-  (* One JSON object per shard: how the affinity experiment actually
-     distributed work and cache locality, not just the pool aggregate. *)
+  (* One JSON object per shard: how affinity routing actually distributed
+     work and cache locality, not just the pool aggregate. *)
   let per_shard_json stats =
     let objs =
       Array.to_list stats
@@ -944,8 +702,8 @@ let serve_bench ~smoke ?store_dir () =
       (fun acc (s : Shard.shard_stats) -> acc + s.Shard.cache.Qac_embed.Cache.misses)
       0 stats
   in
-  (* Baseline: the plain in-process Serve batch path (BENCH_BATCH's
-     batched arm), so the 1-shard-overhead claim lives in one file. *)
+  (* Baseline: the plain in-process Serve batch path, which every other
+     arm is compared against. *)
   let baseline_cache = Qac_embed.Cache.create () in
   let t0 = Unix.gettimeofday () in
   let service =
@@ -959,9 +717,9 @@ let serve_bench ~smoke ?store_dir () =
   (* Pool arms: threads divide across shards so every arm gets the same
      core budget — shard scaling must come from parallel batches and
      cache locality, not from quietly using more hardware. *)
-  let run_pool ~num_shards ~routing =
+  let run_pool ~num_shards =
     let pool =
-      Shard.create ~num_shards ~routing ~batch_jobs:n
+      Shard.create ~num_shards ~batch_jobs:n
         ~num_threads:(max 1 (threads / num_shards))
         ~tiler_params ~solver ~graph ()
     in
@@ -975,13 +733,10 @@ let serve_bench ~smoke ?store_dir () =
      1000.0 *. Hist.p50 lat, 1000.0 *. Hist.p99 lat, stats)
   in
   let one_canon, one_seconds, one_hit, one_p50, one_p99, one_stats =
-    run_pool ~num_shards:1 ~routing:Shard.Affinity
+    run_pool ~num_shards:1
   in
   let four_canon, four_seconds, four_hit, four_p50, four_p99, four_stats =
-    run_pool ~num_shards:4 ~routing:Shard.Affinity
-  in
-  let rr_canon, rr_seconds, rr_hit, _, _, rr_stats =
-    run_pool ~num_shards:4 ~routing:Shard.Round_robin
+    run_pool ~num_shards:4
   in
   (* Socket arm: a 1-shard pool behind the server, driven over a
      Unix-domain socket with pipelined submits then polls. *)
@@ -1035,11 +790,6 @@ let serve_bench ~smoke ?store_dir () =
      a brand-new handle — a restarted process — and must find every
      compiled problem and embedding on disk.  Timing covers the front half
      too (snapshot-or-compile), which is exactly what a restart saves. *)
-  let snapshot_key src pins =
-    Digest.string
-      (String.concat "\x00"
-         (src :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) pins))
-  in
   let run_store_arm store =
     let cc = P.compile_cache_create () in
     let snap_hits = ref 0 and snap_misses = ref 0 in
@@ -1048,7 +798,7 @@ let serve_bench ~smoke ?store_dir () =
       List.mapi
         (fun i (name, w, src) ->
            let pins = pins_of i w in
-           let key = snapshot_key src pins in
+           let key = P.problem_snapshot_key ~src ~top:None ~steps:None ~pins in
            let problem =
              match Store.find_problem store key with
              | Some p ->
@@ -1065,7 +815,7 @@ let serve_bench ~smoke ?store_dir () =
         specs
     in
     let pool =
-      Shard.create ~num_shards:4 ~routing:Shard.Affinity ~batch_jobs:n
+      Shard.create ~num_shards:4 ~batch_jobs:n
         ~num_threads:(max 1 (threads / 4))
         ~tiler_params ~store ~solver ~graph ()
     in
@@ -1142,16 +892,15 @@ let serve_bench ~smoke ?store_dir () =
   let deterministic =
     List.for_all
       (fun c -> c = baseline_canon)
-      [ one_canon; four_canon; rr_canon; socket_canon; cold_canon; warm_canon ]
+      [ one_canon; four_canon; socket_canon; cold_canon; warm_canon ]
   in
   let jps s = float_of_int n /. s in
   Printf.printf
     "  in-process batch:   %6.2fs (%5.2f jobs/s)\n\
     \  1 shard:            %6.2fs (%5.2f jobs/s, p50 %.0f ms, p99 %.0f ms, \
      cache hit %.0f%%)\n\
-    \  4 shards affinity:  %6.2fs (%5.2f jobs/s, p50 %.0f ms, p99 %.0f ms, \
+    \  4 shards:           %6.2fs (%5.2f jobs/s, p50 %.0f ms, p99 %.0f ms, \
      cache hit %.0f%%)\n\
-    \  4 shards rr:        %6.2fs (%5.2f jobs/s, cache hit %.0f%%)\n\
     \  socket (1 shard):   %6.2fs (%5.2f jobs/s)\n\
     \  cold store:         %6.2fs (%5.2f jobs/s, %d snapshot hits, %d misses, \
      %d embed misses)\n\
@@ -1161,8 +910,7 @@ let serve_bench ~smoke ?store_dir () =
     \  responses bit-identical across arms: %b\n"
     baseline_seconds (jps baseline_seconds) one_seconds (jps one_seconds) one_p50
     one_p99 (100.0 *. one_hit) four_seconds (jps four_seconds) four_p50 four_p99
-    (100.0 *. four_hit) rr_seconds (jps rr_seconds) (100.0 *. rr_hit)
-    socket_seconds (jps socket_seconds)
+    (100.0 *. four_hit) socket_seconds (jps socket_seconds)
     cold_seconds (jps cold_seconds) cold_snap_hits cold_snap_misses
     cold_embed_misses
     warm_seconds (jps warm_seconds) warm_snap_hits warm_snap_misses
@@ -1195,9 +943,6 @@ let serve_bench ~smoke ?store_dir () =
     \  \"four_shard_affinity\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
     \                 \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hit_rate\": %.4f,\n\
     \                 \"per_shard\": %s },\n\
-    \  \"four_shard_round_robin\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
     \  \"socket_one_shard\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f },\n\
     \  \"store\": {\n\
     \    \"dir\": %S,\n\
@@ -1221,8 +966,7 @@ let serve_bench ~smoke ?store_dir () =
     graph.Qac_chimera.Topology.name n cores threads baseline_seconds
     (jps baseline_seconds) one_seconds (jps one_seconds) one_p50 one_p99 one_hit
     (per_shard_json one_stats) four_seconds (jps four_seconds) four_p50 four_p99
-    four_hit (per_shard_json four_stats) rr_seconds (jps rr_seconds) rr_hit
-    (per_shard_json rr_stats) socket_seconds (jps socket_seconds) store_path
+    four_hit (per_shard_json four_stats) socket_seconds (jps socket_seconds) store_path
     cold_seconds (jps cold_seconds) cold_snap_hits cold_snap_misses
     cold_embed_misses cold_hit warm_seconds (jps warm_seconds) warm_snap_hits
     warm_snap_misses warm_embed_misses warm_hit warm_speedup
@@ -1638,7 +1382,6 @@ let () =
   | [ "parallel" ] -> parallel_scaling ()
   | "kernel" :: rest -> kernel_bench ~smoke:(rest = [ "smoke" ]) ()
   | "embed" :: rest -> embed_bench ~smoke:(rest = [ "smoke" ]) ()
-  | "batch" :: rest -> batch_bench ~smoke:(rest = [ "smoke" ]) ()
   | "serve" :: rest ->
     (* serve [smoke] [--store DIR]: DIR persists artifacts across runs, so
        CI can assert that a second invocation restarts warm. *)

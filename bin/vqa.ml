@@ -495,17 +495,6 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 
-let routing_arg =
-  let doc =
-    "Shard routing: $(b,affinity) (rendezvous-hash the problem structure, \
-     so same-shaped jobs share a warm embedding cache) or \
-     $(b,round-robin)."
-  in
-  Arg.(value
-       & opt (enum [ ("affinity", Shard.Affinity); ("round-robin", Shard.Round_robin) ])
-           Shard.Affinity
-       & info [ "routing" ] ~docv:"POLICY" ~doc)
-
 (* "HOST:PORT" (TCP) or a filesystem path (Unix-domain). *)
 let parse_addr s =
   match String.rindex_opt s ':' with
@@ -574,24 +563,6 @@ let parse_job_line line_no line =
     Some { line_no; path; job_top = !top; job_steps = !steps;
            deadline_ms = !deadline; job_pins = List.rev !pins }
 
-(* A compiled-problem snapshot is keyed by everything that determines the
-   assembled problem: the source text, top/steps selection, and the pins. *)
-let problem_snapshot_key ~src ~top ~steps ~pins =
-  let b = Buffer.create 1024 in
-  let str s =
-    Buffer.add_string b s;
-    Buffer.add_char b '\000'
-  in
-  str src;
-  str (Option.value ~default:"" top);
-  str (match steps with Some s -> string_of_int s | None -> "");
-  List.iter
-    (fun (k, v) ->
-       str k;
-       str (string_of_int v))
-    pins;
-  Digest.string (Buffer.contents b)
-
 (* Parse a job file, compile each referenced design once per (path, top,
    steps), and assemble.  Returns [(compiled option, job)] in file order.
    With [?store], each job's assembled problem is snapshotted: a snapshot
@@ -613,7 +584,7 @@ let build_jobs ?store ?trace jobs_file =
        let key =
          Option.map
            (fun _ ->
-              problem_snapshot_key ~src ~top:pj.job_top ~steps:pj.job_steps
+              P.problem_snapshot_key ~src ~top:pj.job_top ~steps:pj.job_steps
                 ~pins:pj.job_pins)
            store
        in
@@ -703,7 +674,7 @@ let print_pool_summary pool =
 
 let serve_cmd =
   let run jobs_file physical topology broken solver reads sweeps seed threads batch_jobs
-      batch_window_ms queue_capacity listen shards routing store_dir postprocess
+      batch_window_ms queue_capacity listen shards store_dir postprocess
       chain_break trace trace_json =
     try
       if shards < 1 then failwith "--shards must be >= 1";
@@ -722,14 +693,13 @@ let serve_cmd =
       (match listen with
        | Some addr ->
          let pool =
-           Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+           Shard.create ~num_shards:shards ~queue_capacity ~batch_jobs
              ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver ~graph ()
          in
          let server = Server.create ~pool ~sockaddr:(parse_addr addr) () in
-         Printf.printf "listening on %s (%d shard%s, %s routing)\n%!"
+         Printf.printf "listening on %s (%d shard%s)\n%!"
            (string_of_addr (Server.sockaddr server))
-           shards (if shards = 1 then "" else "s")
-           (match routing with Shard.Affinity -> "affinity" | Shard.Round_robin -> "round-robin");
+           shards (if shards = 1 then "" else "s");
          let results = Server.run server in
          Printf.printf "# served %d job(s)\n" (List.length results);
          print_pool_summary pool;
@@ -747,7 +717,7 @@ let serve_cmd =
          let jobs = build_jobs ?store ?trace:tr jobs_file in
          if shards > 1 then begin
            let pool =
-             Shard.create ~num_shards:shards ~routing ~queue_capacity ~batch_jobs
+             Shard.create ~num_shards:shards ~queue_capacity ~batch_jobs
                ~batch_window_s ~num_threads:threads ~chain_break ?store ~solver ~graph ()
            in
            List.iter (fun (_, job) -> ignore (Shard.submit pool job)) jobs;
@@ -776,10 +746,9 @@ let serve_cmd =
            List.iter2 (fun (tp, _) r -> print_serve_result tp r) jobs results;
            let st = Serve.stats service in
            Printf.printf
-             "# %d jobs in %d batches: %d placed, %d deferrals, %d retries, %d failures, \
-              %d timeouts\n"
+             "# %d jobs in %d batches: %d placed, %d deferrals, %d failures, %d timeouts\n"
              st.Serve.jobs_done st.Serve.batches st.Serve.placed st.Serve.deferrals
-             st.Serve.retries st.Serve.failures st.Serve.timeouts;
+             st.Serve.failures st.Serve.timeouts;
            Printf.printf "# mean occupancy %.1f%%  throughput %.1f jobs/s\n"
              (100.0 *. st.Serve.mean_occupancy) st.Serve.jobs_per_second;
            print_store_summary store;
@@ -802,7 +771,7 @@ let serve_cmd =
             (const run $ jobs_arg $ serve_physical_arg $ topology_arg $ broken_arg
              $ solver_arg $ reads_arg $ sweeps_arg $ seed_arg $ threads_arg
              $ batch_jobs_arg $ batch_window_arg $ queue_capacity_arg
-             $ listen_arg $ shards_arg $ routing_arg $ store_arg
+             $ listen_arg $ shards_arg $ store_arg
              $ postprocess_arg $ chain_break_arg $ trace_arg $ trace_json_arg))
 
 (* --- client ---------------------------------------------------------------- *)

@@ -166,6 +166,25 @@ let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_opt
     Mutex.unlock c.cc_lock;
     t
 
+(* NUL-separated fields, so no two (source, top, steps, pins) tuples share
+   a byte string.  The format is what existing store directories are keyed
+   with; changing it turns every snapshot into a miss. *)
+let problem_snapshot_key ~src ~top ~steps ~pins =
+  let b = Buffer.create 1024 in
+  let str s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\000'
+  in
+  str src;
+  str (Option.value ~default:"" top);
+  str (match steps with Some s -> string_of_int s | None -> "");
+  List.iter
+    (fun (k, v) ->
+       str k;
+       str (string_of_int v))
+    pins;
+  Digest.string (Buffer.contents b)
+
 (* --- Pins ----------------------------------------------------------------- *)
 
 let port_width t name =

@@ -85,6 +85,14 @@ val compile_cached :
     spans.  Concurrent misses on one key may compile twice — both produce
     identical values and the compile itself runs outside the cache lock. *)
 
+val problem_snapshot_key :
+  src:string -> top:string option -> steps:int option -> pins:(string * int) list ->
+  Digest.t
+(** The {!Qac_embed.Store} key of a pinned, assembled problem: a digest of
+    everything that determines it — the source text, the top/steps
+    selection and the pins, in order.  A store snapshot under this key
+    lets a restarted server skip parse→assemble. *)
+
 (** {1 Execution} *)
 
 type solver =

@@ -125,7 +125,7 @@ let try_embed ?cache local problem eparams =
    starts at the smallest block whose capacity covers [slack * num_vars] and
    grows on failure; dense problems get the deterministic clique template as
    a last resort at each size (mirroring [Pipeline.solve_problem]'s fallback). *)
-let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
+let ladder ?cache ~params ~fam ~kmax ~kclean problem =
   let n = problem.Problem.num_vars in
   if n = 0 then Ok (0, { Embedding.chains = [||] })
   else begin
@@ -163,7 +163,7 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
           else
             let eparams =
               { base with
-                Cmr.seed = attempt_seed seed ~block:k ~attempt:a;
+                Cmr.seed = attempt_seed params.seed ~block:k ~attempt:a;
                 num_threads = 1 }
             in
             match try_embed ?cache local problem eparams with
@@ -178,7 +178,7 @@ let ladder ?cache ~params ~seed ~fam ~kmax ~kclean problem =
 
 (* --- Tiling ----------------------------------------------------------------- *)
 
-let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph problems =
+let tile ?(params = default_params) ?cache ?(num_threads = 1) graph problems =
   let fam = Family.of_topology graph in
   let kclean = Family.max_feasible_block fam in
   let kmax =
@@ -186,13 +186,32 @@ let tile ?(params = default_params) ?cache ?seeds ?(num_threads = 1) graph probl
       (Option.value params.max_block ~default:fam.Family.max_block)
   in
   let n = Array.length problems in
-  let seed_of i = match seeds with Some s -> s.(i) | None -> params.seed in
   (* Phase 1 — the per-job ladders are independent of the grid and of each
-     other, so they parallelize freely (the cache is mutex-guarded). *)
+     other, so they parallelize freely (the cache is mutex-guarded).  Jobs
+     of one structure walk the same ladder, so the first job of each
+     structure runs before the rest: with a cache the rest hit its entries
+     instead of racing it to the same CMR search, and the cache counts are
+     those of a single thread. *)
   let ladders = Array.make n (Error "not attempted") in
-  Parallel.run_tasks ~num_workers:num_threads n (fun i ->
-      ladders.(i) <-
-        ladder ?cache ~params ~seed:(seed_of i) ~fam ~kmax ~kclean problems.(i));
+  let run_ladders jobs =
+    Parallel.run_tasks ~num_workers:num_threads (Array.length jobs) (fun j ->
+        let i = jobs.(j) in
+        ladders.(i) <- ladder ?cache ~params ~fam ~kmax ~kclean problems.(i))
+  in
+  let seen = Hashtbl.create n in
+  let first, rest =
+    List.partition
+      (fun i ->
+         let d = Cache.structure_digest problems.(i) in
+         if Hashtbl.mem seen d then false
+         else begin
+           Hashtbl.add seen d ();
+           true
+         end)
+      (List.init n Fun.id)
+  in
+  run_ladders (Array.of_list first);
+  run_ladders (Array.of_list rest);
   (* Phase 2 — sequential first-fit placement in job order. *)
   let free = Array.map Array.copy fam.Family.clean in
   let locals = Hashtbl.create 4 in

@@ -26,7 +26,7 @@
     Block sizes climb a deterministic ladder: starting from a capacity
     heuristic, each size gets a fixed number of embedding attempts with
     seeds derived from [(seed, size, attempt)]; an embedding failure grows
-    the block, lack of floor space defers the job (the batch server retries
+    the block, lack of floor space defers the job (the batch server requeues
     it at the front of the next, emptier batch), and a problem too large for
     even an empty floor fails outright. *)
 
@@ -68,7 +68,10 @@ type outcome =
   | Deferred
       (** embeddable, and a clean block of the required size exists on an
           empty floor, but not in this batch's leftover space *)
-  | Failed of string  (** no embedding, or too large for the topology *)
+  | Failed of string
+      (** no embedding on any block size of the ladder, or too large for
+          the topology; the ladder is the only retry, so a batch server
+          fails the job rather than tiling it again *)
 
 type t = {
   graph : Qac_chimera.Topology.t;
@@ -76,20 +79,19 @@ type t = {
   outcomes : outcome array;  (** parallel to [problems] *)
 }
 
-(** [tile ?params ?cache ?seeds ?num_threads graph problems] carves [graph]
+(** [tile ?params ?cache ?num_threads graph problems] carves [graph]
     and embeds every problem.  The per-job ladder runs across [num_threads]
     domains (placement itself is sequential and deterministic: first-fit,
     row-major, in job order).  [cache] memoizes embeddings across jobs and
-    batches.  [seeds] overrides [params.seed] per job — the batch server
-    uses it to retry an embedding-failed job with a fresh seed; a job's seed
-    is part of its identity for composition invariance.  [graph] must belong
+    batches; the first job of each problem structure walks its ladder
+    before the others of that structure start, so the others hit the cache
+    and its hit/miss counts do not depend on [num_threads].  [graph] must belong
     to a known topology family ({!Qac_chimera.Family.of_topology}: Chimera
     or Pegasus); raises [Invalid_argument] otherwise.  Problems with zero
     variables are placed trivially (empty region). *)
 val tile :
   ?params:params ->
   ?cache:Cache.t ->
-  ?seeds:int array ->
   ?num_threads:int ->
   Qac_chimera.Topology.t ->
   Qac_ising.Problem.t array ->

@@ -373,7 +373,6 @@ let stats_to_json (stats : Shard.shard_stats array) =
                        ("jobs_done", Num (float_of_int sv.Serve.jobs_done));
                        ("placed", Num (float_of_int sv.Serve.placed));
                        ("deferrals", Num (float_of_int sv.Serve.deferrals));
-                       ("retries", Num (float_of_int sv.Serve.retries));
                        ("failures", Num (float_of_int sv.Serve.failures));
                        ("timeouts", Num (float_of_int sv.Serve.timeouts));
                        ("canceled", Num (float_of_int sv.Serve.canceled));

@@ -48,7 +48,6 @@ type stats = {
   jobs_done : int;
   placed : int;
   deferrals : int;
-  retries : int;
   failures : int;
   timeouts : int;
   canceled : int;
@@ -63,7 +62,6 @@ type pending = {
   index : int;  (* submission order; doubles as the caller-facing ticket *)
   submitted_at : float;
   deadline : float option;  (* absolute; fixed at submit *)
-  tries : int;  (* embedding-failure retries so far *)
 }
 
 (* One delivery of a coalesced computation's result.  The leader's own
@@ -87,7 +85,6 @@ type t = {
   tiler_params : Tiler.params;
   chain_break : Qac_embed.Embedding.chain_break;
   embed_cache : Cache.t option;
-  max_retries : int;
   trace : Trace.t option;
   solver : deadline:float option -> Problem.t -> Sampler.response;
   graph : Qac_chimera.Topology.t;
@@ -111,7 +108,6 @@ type t = {
   mutable n_batches : int;
   mutable n_placed : int;
   mutable n_deferrals : int;
-  mutable n_retries : int;
   mutable n_failures : int;
   mutable n_timeouts : int;
   mutable n_canceled : int;
@@ -125,11 +121,6 @@ let now = Unix.gettimeofday
 
 let expired deadline t =
   match deadline with None -> false | Some d -> t > d
-
-(* Per-(job, retry) tiling seed: retry 0 is exactly [params.seed], so a
-   never-failing job tiles identically to a plain [Tiler.tile] call — the
-   composition-invariance contract is preserved. *)
-let retry_seed base tries = base + (7919 * tries)
 
 (* Full-content digest for request coalescing: variable count, every
    coefficient's exact bit pattern, and the relative timeout.  Within one
@@ -237,7 +228,8 @@ let rec take n = function
 (* One flush: already-expired jobs fail fast, the rest tile onto the graph;
    placed jobs solve with their own deadlines, deferred jobs requeue at the
    front (first-of-batch always sees an empty floor, so progress is
-   guaranteed), embedding failures retry with a fresh seed. *)
+   guaranteed), and a tiling failure fails the job: the tiler's ladder has
+   already retried every block size. *)
 let process_batch t batch ~queue_depth =
   let batch_start = now () in
   let batch_no = t.n_batches in
@@ -256,15 +248,12 @@ let process_batch t batch ~queue_depth =
   if live <> [] then begin
     let jobs = Array.of_list live in
     let problems = Array.map (fun p -> p.pjob.problem) jobs in
-    let seeds =
-      Array.map (fun p -> retry_seed t.tiler_params.Tiler.seed p.tries) jobs
-    in
     Trace.with_span_opt t.trace "batch" (fun () ->
         let count k v = Trace.counter_opt t.trace k v in
         count "jobs" (Array.length jobs);
         count "queue-depth" queue_depth;
         let tiling =
-          Tiler.tile ~params:t.tiler_params ?cache:t.embed_cache ~seeds
+          Tiler.tile ~params:t.tiler_params ?cache:t.embed_cache
             ~num_threads:t.num_threads t.graph problems
         in
         let placed, deferred, failed = Tiler.counts tiling in
@@ -300,17 +289,11 @@ let process_batch t batch ~queue_depth =
                t.n_deferrals <- t.n_deferrals + 1;
                requeue := p :: !requeue
              | Tiler.Failed msg ->
-               if p.tries < t.max_retries then begin
-                 t.n_retries <- t.n_retries + 1;
-                 requeue := { p with tries = p.tries + 1 } :: !requeue
-               end
-               else begin
-                 t.n_failures <- t.n_failures + 1;
-                 record t p ~status:(Failed msg) ~response:None ~batch:batch_no
-                   ~batch_start ~solve_seconds:0.0
-               end)
+               t.n_failures <- t.n_failures + 1;
+               record t p ~status:(Failed msg) ~response:None ~batch:batch_no
+                 ~batch_start ~solve_seconds:0.0)
           jobs;
-        (* Requeue at the front, preserving relative order. *)
+        (* Requeue deferred jobs at the front, preserving relative order. *)
         t.queue <- List.rev !requeue @ t.queue;
         Mutex.unlock t.mutex)
   end;
@@ -324,7 +307,6 @@ let stats_locked t =
     jobs_done;
     placed = t.n_placed;
     deferrals = t.n_deferrals;
-    retries = t.n_retries;
     failures = t.n_failures;
     timeouts = t.n_timeouts;
     canceled = t.n_canceled;
@@ -366,7 +348,6 @@ let write_summary t =
     Trace.set_summary trace "serve-jobs" s.jobs_done;
     Trace.set_summary trace "serve-placed" s.placed;
     Trace.set_summary trace "serve-deferrals" s.deferrals;
-    Trace.set_summary trace "serve-retries" s.retries;
     Trace.set_summary trace "serve-failures" s.failures;
     Trace.set_summary trace "serve-timeouts" s.timeouts;
     Trace.set_summary trace "serve-canceled" s.canceled;
@@ -418,8 +399,8 @@ let rec scheduler_loop t =
 
 let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
     ?(num_threads = 1) ?(tiler_params = Tiler.default_params)
-    ?(chain_break = Qac_embed.Embedding.Vote) ?embed_cache
-    ?(max_retries = 2) ?trace ~solver ~graph () =
+    ?(chain_break = Qac_embed.Embedding.Vote) ?embed_cache ?trace ~solver
+    ~graph () =
   if queue_capacity < 1 then invalid_arg "Serve.create: queue_capacity must be >= 1";
   if batch_jobs < 1 then invalid_arg "Serve.create: batch_jobs must be >= 1";
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
@@ -437,7 +418,6 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       tiler_params;
       chain_break;
       embed_cache;
-      max_retries;
       trace;
       solver;
       graph;
@@ -454,7 +434,6 @@ let create ?(queue_capacity = 256) ?(batch_jobs = 16) ?(batch_window_s = 0.01)
       n_batches = 0;
       n_placed = 0;
       n_deferrals = 0;
-      n_retries = 0;
       n_failures = 0;
       n_timeouts = 0;
       n_canceled = 0;
@@ -473,8 +452,7 @@ let enqueue_locked t job =
     { pjob = job;
       index = t.next_index;
       submitted_at;
-      deadline = Option.map (fun ms -> submitted_at +. (ms /. 1000.0)) job.timeout_ms;
-      tries = 0 }
+      deadline = Option.map (fun ms -> submitted_at +. (ms /. 1000.0)) job.timeout_ms }
   in
   t.next_index <- t.next_index + 1;
   t.queue <- t.queue @ [ pending ];

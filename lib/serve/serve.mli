@@ -20,8 +20,9 @@
 
     Jobs the tiler defers (no floor space in this batch) requeue at the
     {e front}, which guarantees progress: the first job of a batch always
-    sees an empty floor.  Jobs whose embedding fails retry with a fresh
-    tiling seed up to [max_retries] times before failing for good.
+    sees an empty floor.  A job the tiler cannot embed fails in its first
+    batch: the tiler's block-size ladder is the only retry policy, and its
+    failure is deterministic, so tiling it again would only fail again.
 
     The solver is a closure so this layer stays independent of the compiler
     ([Qac_core]); callers typically wrap [Pipeline.dispatch_solver].  For
@@ -56,7 +57,9 @@ type status =
   | Timed_out  (** deadline hit; [response] holds best-so-far when the
                    solver got to run, [None] when it expired in the queue *)
   | Canceled  (** {!cancel} removed the job before it was scheduled *)
-  | Failed of string  (** embedding failed after retries, or too large *)
+  | Failed of string
+      (** the tiler's message: no embedding on any block size, or too large
+          for the graph *)
 
 type result = {
   id : string;
@@ -73,7 +76,6 @@ type stats = {
   jobs_done : int;
   placed : int;  (** successful placements (= jobs solved) *)
   deferrals : int;  (** requeues for floor space; can exceed the job count *)
-  retries : int;  (** embedding-failure retries with fresh seeds *)
   failures : int;
   timeouts : int;
   canceled : int;
@@ -94,8 +96,7 @@ type t
     flush policy; [num_threads] parallelizes tiling ladders and per-job
     solves; [tiler_params]/[embed_cache] are handed to {!Qac_embed.Tiler};
     [chain_break] ({!Qac_embed.Embedding.chain_break}, default [Vote])
-    sets how broken chains resolve when responses unembed;
-    [max_retries] (default 2) caps embedding-failure retries.
+    sets how broken chains resolve when responses unembed.
     [trace] records one ["batch"] span per flush (counters: jobs, placed,
     deferred, failed, queue-depth, occupancy-pct) plus service-wide summary
     values; it is written only from the scheduler domain, so read it after
@@ -108,7 +109,6 @@ val create :
   ?tiler_params:Qac_embed.Tiler.params ->
   ?chain_break:Qac_embed.Embedding.chain_break ->
   ?embed_cache:Qac_embed.Cache.t ->
-  ?max_retries:int ->
   ?trace:Qac_diag.Trace.t ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   graph:Qac_chimera.Topology.t ->

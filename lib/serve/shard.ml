@@ -3,17 +3,13 @@
     Each shard is a {!Serve} instance — its own scheduler domain, its own
     bounded queue, its own embedding cache.  This layer only routes,
     translates tickets, and aggregates observability; all scheduling
-    invariants live in [Serve].  The pool mutex guards the ticket table and
-    the round-robin counter; it is never held across a blocking shard
-    submit, so a full shard stalls only its own traffic. *)
+    invariants live in [Serve].  The pool mutex guards the ticket table; it
+    is never held across a blocking shard submit, so a full shard stalls
+    only its own traffic. *)
 
 module Cache = Qac_embed.Cache
 module Store = Qac_embed.Store
 module Hist = Qac_diag.Hist
-
-type routing =
-  | Affinity
-  | Round_robin
 
 type shard = {
   id : int;
@@ -23,12 +19,10 @@ type shard = {
 
 type t = {
   shards : shard array;
-  routing : routing;
   store : Store.t option;  (* shared artifact store behind every shard's cache *)
-  mutex : Mutex.t;  (* tickets + rr counter *)
+  mutex : Mutex.t;  (* guards [tickets] and [next_ticket] *)
   tickets : (int, int * int) Hashtbl.t;  (* global ticket -> (shard, local) *)
   mutable next_ticket : int;
-  mutable rr : int;
 }
 
 type admission =
@@ -75,9 +69,9 @@ let rendezvous ~digest ~num_shards =
 
 (* --- Pool ------------------------------------------------------------------- *)
 
-let create ?(num_shards = 1) ?(routing = Affinity) ?queue_capacity ?batch_jobs
-    ?batch_window_s ?num_threads ?tiler_params ?chain_break
-    ?(cache_capacity = 64) ?store ?max_retries ~solver ~graph () =
+let create ?(num_shards = 1) ?queue_capacity ?batch_jobs ?batch_window_s
+    ?num_threads ?tiler_params ?chain_break ?(cache_capacity = 64) ?store
+    ~solver ~graph () =
   if num_shards < 1 then invalid_arg "Shard.create: num_shards must be >= 1";
   let shards =
     Array.init num_shards (fun id ->
@@ -86,34 +80,20 @@ let create ?(num_shards = 1) ?(routing = Affinity) ?queue_capacity ?batch_jobs
         let cache = Cache.create ~capacity:cache_capacity ?store () in
         let serve =
           Serve.create ?queue_capacity ?batch_jobs ?batch_window_s ?num_threads
-            ?tiler_params ?chain_break ~embed_cache:cache ?max_retries ~solver
-            ~graph ()
+            ?tiler_params ?chain_break ~embed_cache:cache ~solver ~graph ()
         in
         { id; serve; cache })
   in
   { shards;
-    routing;
     store;
     mutex = Mutex.create ();
     tickets = Hashtbl.create 256;
-    next_ticket = 0;
-    rr = 0 }
+    next_ticket = 0 }
 
 let num_shards t = Array.length t.shards
 
 let route t (problem : Qac_ising.Problem.t) =
   rendezvous ~digest:(Cache.structure_digest problem) ~num_shards:(num_shards t)
-
-(* Pick the shard for a submission; Round_robin advances the counter. *)
-let choose t (job : Serve.job) =
-  match t.routing with
-  | Affinity -> route t job.Serve.problem
-  | Round_robin ->
-    Mutex.lock t.mutex;
-    let s = t.rr mod num_shards t in
-    t.rr <- t.rr + 1;
-    Mutex.unlock t.mutex;
-    s
 
 let register t ~shard ~local =
   Mutex.lock t.mutex;
@@ -123,8 +103,8 @@ let register t ~shard ~local =
   Mutex.unlock t.mutex;
   ticket
 
-let submit t job =
-  let s = choose t job in
+let submit t (job : Serve.job) =
+  let s = route t job.problem in
   let local = Serve.submit_ticket t.shards.(s).serve job in
   register t ~shard:s ~local
 
@@ -147,8 +127,8 @@ let retry_after_ms (st : Serve.stats) =
     (Float.max min_retry_after_ms
        (per_job_ms *. float_of_int (max 1 st.Serve.queue_depth)))
 
-let try_submit t job =
-  let s = choose t job in
+let try_submit t (job : Serve.job) =
+  let s = route t job.problem in
   match Serve.try_submit t.shards.(s).serve job with
   | Some local -> Accepted { ticket = register t ~shard:s ~local; shard = s }
   | None ->
@@ -215,7 +195,6 @@ let metrics t =
        line "serve_jobs_done" shard "%d" sv.Serve.jobs_done;
        line "serve_placed" shard "%d" sv.Serve.placed;
        line "serve_deferrals" shard "%d" sv.Serve.deferrals;
-       line "serve_retries" shard "%d" sv.Serve.retries;
        line "serve_failures" shard "%d" sv.Serve.failures;
        line "serve_timeouts" shard "%d" sv.Serve.timeouts;
        line "serve_canceled" shard "%d" sv.Serve.canceled;

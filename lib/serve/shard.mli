@@ -17,18 +17,13 @@
     single-hash function of the digest — per-shard salted scores survive
     only as a tie-break, so no salt can ever split same-shaped traffic
     across shards.  The pool's size is fixed at {!create}; a pool of a
-    different size is a different routing function.  {!Round_robin}
-    routing exists as the control arm for benchmarks.
+    different size is a different routing function.
 
     Tickets are pool-global: {!submit} returns a ticket valid with
     {!poll}/{!cancel} whatever shard the job landed on.  {!try_submit} is
     the admission-control path — a full target shard rejects with a
     retry-after hint instead of blocking, which is what a network front end
     must do (a blocked accept loop is a dead server). *)
-
-type routing =
-  | Affinity  (** rendezvous-hash the problem-structure digest (default) *)
-  | Round_robin  (** ignore structure; benchmark control arm *)
 
 type t
 
@@ -55,11 +50,9 @@ type shard_stats = {
     through — a restarted pool starts warm.
     [solver] must be pure up to its arguments — the composition-invariance
     contract makes a job's response independent of the shard that serves
-    it, so any routing policy (and any shard count) returns bit-identical
-    results. *)
+    it, so any shard count returns bit-identical results. *)
 val create :
   ?num_shards:int ->
-  ?routing:routing ->
   ?queue_capacity:int ->
   ?batch_jobs:int ->
   ?batch_window_s:float ->
@@ -68,7 +61,6 @@ val create :
   ?chain_break:Qac_embed.Embedding.chain_break ->
   ?cache_capacity:int ->
   ?store:Qac_embed.Store.t ->
-  ?max_retries:int ->
   solver:(deadline:float option -> Qac_ising.Problem.t -> Qac_anneal.Sampler.response) ->
   graph:Qac_chimera.Topology.t ->
   unit ->
@@ -82,8 +74,8 @@ val rendezvous : digest:Digest.t -> num_shards:int -> int
     Exposed for tests and for clients that want to predict placement. *)
 
 val route : t -> Qac_ising.Problem.t -> int
-(** The shard {!submit} would choose for this problem under {!Affinity}
-    (under {!Round_robin} the actual choice also advances a counter). *)
+(** The shard {!submit} and {!try_submit} send this problem to:
+    {!rendezvous} of its structure digest over this pool's size. *)
 
 val submit : t -> Serve.job -> int
 (** Route and enqueue; blocks on the target shard's backpressure.  Returns
@@ -110,7 +102,7 @@ val latency : t -> Qac_diag.Hist.t
 val metrics : t -> string
 (** Prometheus-style text exposition: one
     [qac_<name>{shard="<i>"} <value>] line per counter per shard — the
-    {!Serve} summary counters (jobs, placed, deferrals, retries, failures,
+    {!Serve} summary counters (jobs, placed, deferrals, failures,
     timeouts, canceled, coalesced, queue depth, occupancy, jobs/s), the
     embed-cache hit/miss/eviction/entry/store-hit counts, and the
     log-bucketed latency histogram (cumulative [_bucket{le="..."}] lines

@@ -1,5 +1,5 @@
-(** The batch solver service: ordering, batching, deadlines, retries,
-    backpressure, and reproducibility across thread counts. *)
+(** The batch solver service: ordering, batching, deadlines, failures,
+    deferrals, backpressure, and reproducibility across thread counts. *)
 
 open Qac_ising
 module Chimera = Qac_chimera.Chimera
@@ -191,21 +191,30 @@ let deadline_tests =
          | _ -> Alcotest.fail "expected a timed-out partial result") ]
 
 let failure_tests =
-  [ Alcotest.test_case "unembeddable job fails after fresh-seed retries" `Quick
+  [ Alcotest.test_case "unembeddable job fails in its first batch" `Quick
       (fun () ->
          let graph = Chimera.create 2 in
          let huge = chain_problem 40 in
-         let results, stats =
-           serve_all graph [ job "huge" huge; job "ok" (chain_problem 3) ]
+         let tiler_msg =
+           match (Tiler.tile ~params:tiler_params graph [| huge |]).Tiler.outcomes.(0) with
+           | Tiler.Failed msg -> msg
+           | _ -> Alcotest.fail "the tiler should refuse a 40-spin chain on C2"
          in
+         (* A long window and [batch_jobs = 2] put both jobs in one batch. *)
+         let t =
+           Serve.create ~batch_jobs:2 ~batch_window_s:10.0 ~tiler_params ~solver
+             ~graph ()
+         in
+         List.iter (Serve.submit t) [ job "huge" huge; job "ok" (chain_problem 3) ];
+         let results = Serve.drain t in
+         let stats = Serve.stats t in
          (match (List.nth results 0).Serve.status with
-          | Serve.Failed _ -> ()
+          | Serve.Failed msg -> Alcotest.(check string) "the tiler's message" tiler_msg msg
           | _ -> Alcotest.fail "oversized job should fail");
          (match (List.nth results 1).Serve.status with
           | Serve.Done -> ()
           | _ -> Alcotest.fail "small job should finish");
-         Alcotest.(check bool) "retried with fresh seeds" true
-           (stats.Serve.retries >= 1);
+         Alcotest.(check int) "one batch, no second tiling" 1 stats.Serve.batches;
          Alcotest.(check int) "one failure" 1 stats.Serve.failures);
     Alcotest.test_case "deferred jobs requeue and complete" `Quick (fun () ->
         let graph = Chimera.create 2 in

@@ -165,8 +165,7 @@ let pool_tests =
           let graph = Chimera.create 6 in
           let p = chain_problem 5 in
           let pool =
-            Shard.create ~num_shards:3 ~routing:Shard.Affinity ~tiler_params
-              ~solver ~graph ()
+            Shard.create ~num_shards:3 ~tiler_params ~solver ~graph ()
           in
           let home = Shard.route pool p in
           (* Same structure, different coefficients: every job must land on

@@ -351,6 +351,35 @@ let pegasus_tests =
          let t4 = Tiler.tile ~params ~num_threads:4 graph jobs in
          check_same_tiling t1 t4) ]
 
+(* Kept last so that adding it left the case numbers of the earlier tests
+   unchanged. *)
+let cache_thread_tests =
+  [ Alcotest.test_case "cache counts are identical at 1, 2 and 4 threads" `Quick
+      (fun () ->
+         (* Two structures, four adjacent jobs each, with distinct
+            coefficients: the later jobs of a structure must hit the first
+            one's entry, never race it to a second CMR search. *)
+         let graph = Chimera.create 16 in
+         let params = { params with Tiler.slack = 6.0 } in
+         let job i =
+           let n = if i < 4 then 8 else 11 in
+           Problem.create ~num_vars:n
+             ~h:(Array.init n (fun k -> float_of_int (i + k) /. 10.0))
+             ~j:(List.init (n - 1) (fun k -> ((k, k + 1), 1.0 +. float_of_int i)))
+             ()
+         in
+         let problems = Array.init 8 job in
+         let counts num_threads =
+           let cache = Cache.create () in
+           ignore (Tiler.tile ~params ~cache ~num_threads graph problems);
+           let { Cache.hits; misses; _ } = Cache.stats cache in
+           (hits, misses)
+         in
+         let one = counts 1 in
+         Alcotest.(check (pair int int)) "2 threads" one (counts 2);
+         Alcotest.(check (pair int int)) "4 threads" one (counts 4)) ]
+
 let suite =
   tiling_tests @ solve_tests @ accounting_tests @ pegasus_tests
   @ [ QCheck_alcotest.to_alcotest qcheck_isolation ]
+  @ cache_thread_tests
