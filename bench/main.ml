@@ -4,10 +4,6 @@
       index of the paper's tables and figures) and prints paper-vs-measured
       rows.
     - [dune exec bench/main.exe -- e12 e14] runs a subset.
-    - [dune exec bench/main.exe -- bechamel] runs the Bechamel
-      micro-benchmarks (one [Test.make] per experiment family).
-    - [dune exec bench/main.exe -- trace] prints the per-stage span
-      breakdown (times + size counters) for a compile+run of a multiplier.
     - [dune exec bench/main.exe -- parallel] measures domain-parallel SA
       read-batch scaling on a 300-variable spin glass.
     - [dune exec bench/main.exe -- kernel [smoke]] times the CSR +
@@ -23,6 +19,8 @@
       1 vs 4 affinity-routed shards, through the socket front end, cold
       and warm artifact store, duplicate-heavy), checks responses stay
       bit-identical across every arm, and writes [BENCH_SERVE.json].
+      Without [--store] the store arms use a temporary directory that is
+      deleted when the run ends.
     - [dune exec bench/main.exe -- pegasus [smoke]] compares Pegasus against
       Chimera at matched working-qubit budgets (C4 vs P3, C8 vs P5): minor
       embedding of the paper's circuits (qubit counts, max/mean chain
@@ -34,7 +32,141 @@
       3-SAT instances (compiled to Ising penalties by [Qac_sat]) through the
       tiler on Chimera and Pegasus, reporting solved fraction, jobs/s, and
       embedding-cache sharing across the structurally identical batch; writes
-      [BENCH_SAT.json]. *)
+      [BENCH_SAT.json].
+
+    The per-stage span table of one compile + run is [vqa run FILE --trace];
+    per-layer timings of the whole system are perfbench's
+    ([perfbench/README.md]). *)
+
+module P = Qac_core.Pipeline
+module J = Qac_serve.Protocol
+module Serve = Qac_serve.Serve
+module Shard = Qac_serve.Shard
+module Cache = Qac_embed.Cache
+module Cmr = Qac_embed.Cmr
+module Embedding = Qac_embed.Embedding
+module Tiler = Qac_embed.Tiler
+module Chimera = Qac_chimera.Chimera
+module Pegasus = Qac_chimera.Pegasus
+module Topology = Qac_chimera.Topology
+module Problem = Qac_ising.Problem
+module Rng = Qac_anneal.Rng
+module Sampler = Qac_anneal.Sampler
+
+(* --- Shared plumbing -------------------------------------------------------- *)
+
+let num x = J.Num (if Float.is_finite x then x else 0.0)
+let int i = J.Num (float_of_int i)
+
+(* A non-timing float at the precision the records have always printed it
+   with, so a rerun's value compares equal to an older record's. *)
+let rounded fmt x = num (float_of_string (Printf.sprintf fmt x))
+let mode smoke = ("mode", J.Str (if smoke then "smoke" else "full"))
+
+let write_json file fields =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (J.json_to_string (J.Obj fields));
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" file
+
+let elapsed f =
+  let t0 = Unix.gettimeofday () in
+  let v = f () in
+  (Unix.gettimeofday () -. t0, v)
+
+(* The serving benches' per-job solver: single-threaded, so the tiler's
+   domains carry the parallelism. *)
+let solver sa ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline sa p
+
+let physical graph =
+  P.Physical { graph; embed_params = None; chain_strength = None; roof_duality = false }
+
+let multiplier_problem () =
+  let src =
+    "module mult (a, b, p); input [2:0] a; input [2:0] b; output [5:0] p; \
+     assign p = a * b; endmodule"
+  in
+  (P.compile src).P.program.Qac_qmasm.Assemble.problem
+
+(* Ring + random chords over [num_vars] spins.  Unweighted, fields are 0
+   and couplers 1 (the embedder reads only the structure); [~weighted]
+   draws fields and couplers uniformly from [-1, 1) off the same stream. *)
+let ring_chords ~weighted ~num_vars ~chords ~seed =
+  let rng = Rng.create seed in
+  let draw () = if weighted then (Rng.float rng *. 2.0) -. 1.0 else 1.0 in
+  let h = Array.init num_vars (fun _ -> if weighted then draw () else 0.0) in
+  let seen = Hashtbl.create (4 * num_vars) in
+  let j = ref [] in
+  let add key =
+    Hashtbl.replace seen key ();
+    j := (key, draw ()) :: !j
+  in
+  for i = 0 to num_vars - 1 do
+    let k = (i + 1) mod num_vars in
+    add (min i k, max i k)
+  done;
+  let added = ref 0 in
+  while !added < chords do
+    let a = Rng.int rng num_vars and b = Rng.int rng num_vars in
+    let key = (min a b, max a b) in
+    if a <> b && not (Hashtbl.mem seen key) then begin
+      add key;
+      incr added
+    end
+  done;
+  Problem.create ~num_vars ~h ~j:!j ()
+
+(* The serving benches' circuit fleet: one pinned add/xor/and/or circuit
+   per (width, op), as [(id, source, pins)] in submission order. *)
+let op_fleet ~prefix ~widths =
+  List.concat_map
+    (fun w ->
+       List.map
+         (fun (opname, op) ->
+            let name = Printf.sprintf "%s%d_%s" prefix w opname in
+            ( name,
+              w,
+              Printf.sprintf
+                "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
+                 output [%d:0] y; assign y = a %s b; endmodule"
+                name (w - 1) (w - 1) w op ))
+         [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ])
+    widths
+  |> List.mapi (fun i (name, w, src) ->
+      ( Printf.sprintf "%s#%d" name i,
+        src,
+        [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] ))
+
+let job id problem = { Serve.id; problem; timeout_ms = None }
+
+let fleet_jobs fleet =
+  List.map
+    (fun (id, src, pins) ->
+       job id (P.assemble_with_pins ~pins (P.compile src)).Qac_qmasm.Assemble.problem)
+    fleet
+
+(* One in-process [Serve] taking [jobs] as a single batch, with a fresh
+   embedding cache: create -> submit -> drain -> stats. *)
+let serve_batch ~graph ~num_threads ~tiler_params ~solver jobs =
+  let embed_cache = Cache.create () in
+  let seconds, (results, stats) =
+    elapsed (fun () ->
+        let service =
+          Serve.create ~batch_jobs:(List.length jobs) ~num_threads ~tiler_params
+            ~embed_cache ~solver ~graph ()
+        in
+        List.iter (Serve.submit service) jobs;
+        let results = Serve.drain service in
+        (results, Serve.stats service))
+  in
+  (results, seconds, stats, Cache.stats embed_cache)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
 let run_experiments ids =
   let selected =
@@ -51,132 +183,12 @@ let run_experiments ids =
   in
   print_endline "Reproduction of 'Targeting Classical Code to a Quantum Annealer' (ASPLOS'19)";
   print_endline "Absolute numbers come from a classical substrate; compare shapes, not values.";
-  List.iter
-    (fun (_, _, run) ->
-       let t0 = Unix.gettimeofday () in
-       run ();
-       Printf.printf "[%.1fs]\n" (Unix.gettimeofday () -. t0))
-    selected
-
-(* --- Bechamel micro-benchmarks -------------------------------------------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  (* Small fixed workloads, one per experiment family. *)
-  let fig2 =
-    "module circuit (s, a, b, c); input s, a, b; output [1:0] c; assign c = s ? a + b : a - b; endmodule"
-  in
-  let compiled = Qac_core.Pipeline.compile fig2 in
-  let logical = compiled.Qac_core.Pipeline.program.Qac_qmasm.Assemble.problem in
-  let australia_csp () =
-    Qac_csp.Mzn.parse
-      "var 1..4: NSW; var 1..4: QLD; var 1..4: SA; var 1..4: VIC; var 1..4: WA;\n\
-       var 1..4: NT; var 1..4: ACT;\n\
-       constraint WA != NT; constraint WA != SA; constraint NT != SA;\n\
-       constraint NT != QLD; constraint SA != QLD; constraint SA != NSW;\n\
-       constraint SA != VIC; constraint QLD != NSW; constraint NSW != VIC;\n\
-       constraint NSW != ACT;\nsolve satisfy;\n"
-  in
-  let chimera = Qac_chimera.Chimera.create 4 in
-  let triangle =
-    Qac_ising.Problem.create ~num_vars:3 ~h:[| 0.5; 0.5; 0.5 |]
-      ~j:[ ((0, 1), 1.0); ((1, 2), 1.0); ((0, 2), 1.0) ]
-      ()
-  in
-  let and_table = Qac_cellgen.Truthtab.of_function ~num_inputs:2 (fun v -> v.(0) && v.(1)) in
-  let sa_params =
-    { Qac_anneal.Sa.default_params with Qac_anneal.Sa.num_reads = 5; num_sweeps = 100 }
-  in
-  let tests =
-    [ Test.make ~name:"e1-compile: verilog->ising (fig2)"
-        (Staged.stage (fun () -> ignore (Qac_core.Pipeline.compile fig2)));
-      Test.make ~name:"e4-cellgen: derive AND via LP"
-        (Staged.stage (fun () -> ignore (Qac_cellgen.Gen.derive_exact and_table)));
-      Test.make ~name:"e6-exact: enumerate fig2 problem"
-        (Staged.stage (fun () -> ignore (Qac_ising.Exact.solve ~limit:1 logical)));
-      Test.make ~name:"e9-embed: triangle into C4"
-        (Staged.stage (fun () -> ignore (Qac_embed.Cmr.find chimera triangle)));
-      Test.make ~name:"e12-sa: 5 reads x 100 sweeps (fig2 problem)"
-        (Staged.stage (fun () -> ignore (Qac_anneal.Sa.sample ~params:sa_params logical)));
-      Test.make ~name:"e15-csp: solve Listing 8"
-        (Staged.stage
-           (fun () ->
-              let csp = australia_csp () in
-              ignore (Qac_csp.Csp.solve csp)));
-      Test.make ~name:"qmasm: parse+assemble stdcell AND"
-        (Staged.stage
-           (fun () ->
-              ignore
-                (Qac_qmasm.Qmasm.load ~resolve:Qac_edif2qmasm.Edif2qmasm.resolve
-                   "!include \"stdcell.qmasm\"\n!use_macro AND g\n")));
-    ]
-  in
-  print_endline "Bechamel micro-benchmarks (time per run, monotonic clock):";
-  List.iter
-    (fun test ->
-       let instances = Instance.[ monotonic_clock ] in
-       let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-       let results = Benchmark.all cfg instances test in
-       let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-       let analyzed = Analyze.all ols Instance.monotonic_clock results in
-       Hashtbl.iter
-         (fun name result ->
-            match Analyze.OLS.estimates result with
-            | Some [ est ] ->
-              Printf.printf "  %-48s %12.1f us\n" name (est /. 1000.0)
-            | Some _ | None -> Printf.printf "  %-48s (no estimate)\n" name)
-         analyzed)
-    tests
-
-(* --- Per-stage tracing ------------------------------------------------------ *)
-
-let trace_breakdown () =
-  let module P = Qac_core.Pipeline in
-  let module Trace = Qac_diag.Trace in
-  let src =
-    "module mult (a, b, p); input [2:0] a; input [2:0] b; output [5:0] p; \
-     assign p = a * b; endmodule"
-  in
-  let trace = Trace.create () in
-  let t = P.compile ~trace src in
-  let params =
-    { Qac_anneal.Sa.default_params with Qac_anneal.Sa.num_reads = 200; num_sweeps = 500 }
-  in
-  let result =
-    P.run t ~pins:[ ("p", 15) ] ~trace ~solver:(P.Sa params) ~target:P.Logical
-  in
-  Printf.printf "per-stage trace (compile + run, 3x3 multiplier, p pinned to 15):\n";
-  Format.printf "%a" Trace.pp trace;
-  Printf.printf "valid solutions: %d of %d distinct\n"
-    (List.length (P.valid_solutions result))
-    (List.length result.P.solutions)
+  List.iter (fun (_, _, run) -> Printf.printf "[%.1fs]\n" (fst (elapsed run))) selected
 
 (* --- Domain-parallel SA scaling --------------------------------------------- *)
 
 let parallel_scaling () =
-  let module Rng = Qac_anneal.Rng in
-  (* A 300-variable random spin glass: ring + random chords. *)
-  let n = 300 in
-  let rng = Rng.create 1 in
-  let h = Array.init n (fun _ -> (Rng.float rng *. 2.0) -. 1.0) in
-  let seen = Hashtbl.create 1024 in
-  let j = ref [] in
-  for i = 0 to n - 1 do
-    Hashtbl.replace seen (i, (i + 1) mod n) ();
-    j := ((i, (i + 1) mod n), (Rng.float rng *. 2.0) -. 1.0) :: !j
-  done;
-  let added = ref 0 in
-  while !added < 3 * n do
-    let a = Rng.int rng n and b = Rng.int rng n in
-    let key = (min a b, max a b) in
-    if a <> b && not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      j := (key, (Rng.float rng *. 2.0) -. 1.0) :: !j;
-      incr added
-    end
-  done;
-  let problem = Qac_ising.Problem.create ~num_vars:n ~h ~j:!j () in
+  let problem = ring_chords ~weighted:true ~num_vars:300 ~chords:900 ~seed:1 in
   let params =
     { Qac_anneal.Sa.default_params with
       Qac_anneal.Sa.num_reads = 256;
@@ -185,21 +197,18 @@ let parallel_scaling () =
   in
   Printf.printf
     "domain-parallel SA: %d vars, %d terms, %d reads x %d sweeps (%d cores available)\n"
-    n
-    (Qac_ising.Problem.num_terms problem)
+    problem.Problem.num_vars (Problem.num_terms problem)
     params.Qac_anneal.Sa.num_reads params.Qac_anneal.Sa.num_sweeps
     (Domain.recommended_domain_count ());
   let baseline = ref 0.0 in
   List.iter
     (fun threads ->
        let r = Qac_anneal.Parallel.sample_sa ~num_threads:threads ~params problem in
-       let wall = r.Qac_anneal.Sampler.elapsed_seconds in
+       let wall = r.Sampler.elapsed_seconds in
        if threads = 1 then baseline := wall;
        Printf.printf
          "  threads=%-2d  wall=%7.3fs  speedup=%5.2fx  distinct=%d  best=%g\n" threads wall
-         (!baseline /. wall)
-         (Qac_anneal.Sampler.num_distinct r)
-         (Qac_anneal.Sampler.best r).Qac_anneal.Sampler.energy)
+         (!baseline /. wall) (Sampler.num_distinct r) (Sampler.best r).Sampler.energy)
     [ 1; 2; 4; 8 ]
 
 (* --- Annealing kernel microbenchmark ---------------------------------------- *)
@@ -207,24 +216,20 @@ let parallel_scaling () =
 (* A Chimera-structured spin glass: the native topology of the paper's
    target hardware, so degrees (5-6) match what embedded problems see. *)
 let chimera_glass ~m ~seed =
-  let module Rng = Qac_anneal.Rng in
-  let module Chimera = Qac_chimera.Chimera in
   let g = Chimera.create m in
   let n = Chimera.num_qubits g in
   let rng = Rng.create seed in
   let h = Array.init n (fun _ -> (Rng.float rng *. 2.0) -. 1.0) in
   let j =
-    List.map
-      (fun (a, b) -> ((a, b), (Rng.float rng *. 2.0) -. 1.0))
-      (Chimera.edges g)
+    List.map (fun (a, b) -> ((a, b), (Rng.float rng *. 2.0) -. 1.0)) (Chimera.edges g)
   in
-  Qac_ising.Problem.create ~num_vars:n ~h ~j ()
+  Problem.create ~num_vars:n ~h ~j ()
 
-let csr_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
+let csr_sweeps (p : Problem.t) ~rng ~schedule ~num_sweeps =
   let module State = Qac_anneal.State in
   let st = State.random p rng in
   let order = Array.init (State.num_vars st) (fun i -> i) in
-  Qac_anneal.Rng.shuffle rng order;
+  Rng.shuffle rng order;
   for step = 0 to num_sweeps - 1 do
     let beta = Qac_anneal.Schedule.beta schedule ~step ~num_steps:num_sweeps in
     State.metropolis_sweep st ~beta ~rng ~order
@@ -239,11 +244,7 @@ let csr_sweeps (p : Qac_ising.Problem.t) ~rng ~schedule ~num_sweeps =
    minimum, leaving polish nothing to do.  Rate = valid occurrences /
    occurrences emitted, so [discard] is scored on what it keeps. *)
 let composite_rows ~smoke () =
-  let module P = Qac_core.Pipeline in
-  let fig2 =
-    "module circuit (s, a, b, c); input s, a, b; output [1:0] c; assign c = s ? a + b : a - b; endmodule"
-  in
-  let t = P.compile fig2 in
+  let t = P.compile Experiments.fig2_src in
   let reads = if smoke then 40 else 200 in
   let sweeps = if smoke then 60 else 100 in
   let params =
@@ -254,20 +255,14 @@ let composite_rows ~smoke () =
       beta_max = Some 2.0;
       greedy_postprocess = false }
   in
-  let target =
-    P.Physical
-      { graph = Qac_chimera.Chimera.create 8;
-        embed_params = None;
-        chain_strength = None;
-        roof_duality = false }
-  in
-  let cache = Qac_embed.Cache.create () in
+  let target = physical (Chimera.create 8) in
+  let cache = Cache.create () in
   let configs =
-    [ (`None, Qac_embed.Embedding.Vote);
-      (`Polish, Qac_embed.Embedding.Vote);
-      (`Gauge, Qac_embed.Embedding.Vote);
-      (`None, Qac_embed.Embedding.Discard);
-      (`None, Qac_embed.Embedding.Polish) ]
+    [ (`None, Embedding.Vote);
+      (`Polish, Embedding.Vote);
+      (`Gauge, Embedding.Vote);
+      (`None, Embedding.Discard);
+      (`None, Embedding.Polish) ]
   in
   Printf.printf
     "composite post-processing: valid-read rate on the E1-style circuit\n\
@@ -276,12 +271,11 @@ let composite_rows ~smoke () =
     reads sweeps;
   List.map
     (fun (postprocess, chain_break) ->
-       let t0 = Unix.gettimeofday () in
-       let result =
-         P.run t ~embed_cache:cache ~postprocess ~chain_break
-           ~solver:(P.Sa params) ~target
+       let seconds, result =
+         elapsed (fun () ->
+             P.run t ~embed_cache:cache ~postprocess ~chain_break ~solver:(P.Sa params)
+               ~target)
        in
-       let seconds = Unix.gettimeofday () -. t0 in
        let occurrences l =
          List.fold_left (fun acc (s : P.solution) -> acc + s.P.num_occurrences) 0 l
        in
@@ -289,20 +283,22 @@ let composite_rows ~smoke () =
        let total = occurrences result.P.solutions in
        let rate = float_of_int valid /. float_of_int (max 1 total) in
        let pp = Qac_anneal.Composite.string_of_postprocess postprocess in
-       let cb = Qac_embed.Embedding.string_of_chain_break chain_break in
+       let cb = Embedding.string_of_chain_break chain_break in
        Printf.printf
          "  postprocess=%-6s chain-break=%-7s  valid %4d / %4d reads  rate=%.3f  \
           (%.2fs)\n"
          pp cb valid total rate seconds;
-       Printf.sprintf
-         "    { \"postprocess\": %S, \"chain_break\": %S, \"num_reads\": %d,\n\
-         \      \"valid_occurrences\": %d, \"emitted_occurrences\": %d,\n\
-         \      \"valid_read_rate\": %.4f, \"seconds\": %.3f }"
-         pp cb reads valid total rate seconds)
+       J.Obj
+         [ ("postprocess", J.Str pp);
+           ("chain_break", J.Str cb);
+           ("num_reads", int reads);
+           ("valid_occurrences", int valid);
+           ("emitted_occurrences", int total);
+           ("valid_read_rate", rounded "%.4f" rate);
+           ("seconds", num seconds) ])
     configs
 
 let kernel_bench ~smoke () =
-  let module Rng = Qac_anneal.Rng in
   (* (chimera grid size, sweeps): 8*m^2 variables. *)
   let cases =
     if smoke then [ (4, 80); (8, 40) ] else [ (4, 3000); (8, 1200); (16, 300) ]
@@ -326,15 +322,13 @@ let kernel_bench ~smoke () =
     List.map
       (fun (m, num_sweeps) ->
          let p = chimera_glass ~m ~seed:(100 + m) in
-         let n = p.Qac_ising.Problem.num_vars in
-         let couplers = Qac_ising.Problem.num_interactions p in
+         let n = p.Problem.num_vars in
+         let couplers = Problem.num_interactions p in
          let schedule = Qac_anneal.Schedule.create p in
          let csr_seconds, csr_energy =
            best_of (fun () ->
                let rng = Rng.create 7 in
-               let t0 = Unix.gettimeofday () in
-               let energy = csr_sweeps p ~rng ~schedule ~num_sweeps in
-               (Unix.gettimeofday () -. t0, energy))
+               elapsed (fun () -> csr_sweeps p ~rng ~schedule ~num_sweeps))
          in
          (* The packed kernel anneals 64 replicas per pass; its figure of
             merit is {e aggregate} spin-updates/s across the block.  The
@@ -346,20 +340,16 @@ let kernel_bench ~smoke () =
          let acceptance = Bitpar.acceptance q schedule ~num_sweeps in
          let bitpar_seconds, bitpar_energy =
            best_of (fun () ->
-               let t0 = Unix.gettimeofday () in
-               let r = Bitpar.anneal_block q ~acceptance ~lanes ~block_seed:7 in
-               let seconds = Unix.gettimeofday () -. t0 in
-               let e =
-                 Array.fold_left
-                   (fun acc spins -> Float.min acc (Qac_ising.Problem.energy p spins))
-                   infinity r.Bitpar.reads
+               let seconds, r =
+                 elapsed (fun () -> Bitpar.anneal_block q ~acceptance ~lanes ~block_seed:7)
                in
-               (seconds, e))
+               ( seconds,
+                 Array.fold_left
+                   (fun acc spins -> Float.min acc (Problem.energy p spins))
+                   infinity r.Bitpar.reads ))
          in
          let csr_updates = float_of_int (n * num_sweeps) /. csr_seconds in
-         let bitpar_agg_updates =
-           float_of_int (n * num_sweeps * lanes) /. bitpar_seconds
-         in
+         let bitpar_agg_updates = float_of_int (n * num_sweeps * lanes) /. bitpar_seconds in
          let bitpar_ratio = bitpar_agg_updates /. csr_updates in
          Printf.printf
            "  n=%-5d couplers=%-5d sweeps=%-4d csr=%9.1f sw/s  bitpar=%6.0fM agg \
@@ -367,80 +357,49 @@ let kernel_bench ~smoke () =
            n couplers num_sweeps
            (float_of_int num_sweeps /. csr_seconds)
            (bitpar_agg_updates /. 1e6) bitpar_ratio csr_energy bitpar_energy;
-         Printf.sprintf
-           "    { \"num_vars\": %d, \"num_couplers\": %d, \"num_sweeps\": %d,\n\
-           \      \"csr_seconds\": %.6f, \"csr_sweeps_per_sec\": %.1f,\n\
-           \      \"csr_spin_updates_per_sec\": %.0f,\n\
-           \      \"bitpar_seconds\": %.6f, \"bitpar_lanes\": %d, \"bitpar_num_threads\": 1,\n\
-           \      \"bitpar_agg_spin_updates_per_sec\": %.0f, \"bitpar_vs_csr\": %.2f }"
-           n couplers num_sweeps csr_seconds
-           (float_of_int num_sweeps /. csr_seconds)
-           csr_updates bitpar_seconds lanes bitpar_agg_updates bitpar_ratio)
+         J.Obj
+           [ ("num_vars", int n);
+             ("num_couplers", int couplers);
+             ("num_sweeps", int num_sweeps);
+             ("csr_seconds", num csr_seconds);
+             ("csr_sweeps_per_sec", num (float_of_int num_sweeps /. csr_seconds));
+             ("csr_spin_updates_per_sec", num csr_updates);
+             ("bitpar_seconds", num bitpar_seconds);
+             ("bitpar_lanes", int lanes);
+             ("bitpar_num_threads", int 1);
+             ("bitpar_agg_spin_updates_per_sec", num bitpar_agg_updates);
+             ("bitpar_vs_csr", num bitpar_ratio) ])
       cases
   in
   let composites = composite_rows ~smoke () in
-  let oc = open_out "BENCH_ANNEAL.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"anneal-kernel\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule\",\n\
-    \  \"kernels\": { \"csr\": \"row_start/col/weight arrays + incremental local-field state\",\n\
-    \                 \"bitpar\": \"64 replicas per block, integer quantized fields, shared threshold tables; aggregate updates/s, single-threaded (blocks scale across domains via Parallel)\" },\n\
-    \  \"results\": [\n%s\n  ],\n\
-    \  \"composite_valid_read_rate\": [\n%s\n  ]\n}\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" rows)
-    (String.concat ",\n" composites);
-  close_out oc;
-  Printf.printf "wrote BENCH_ANNEAL.json\n"
+  write_json "BENCH_ANNEAL.json"
+    [ ("benchmark", J.Str "anneal-kernel");
+      mode smoke;
+      ( "workload",
+        J.Str "Metropolis sweeps, Chimera-structured spin glass (shore 4), geometric schedule" );
+      ( "kernels",
+        J.Obj
+          [ ("csr", J.Str "row_start/col/weight arrays + incremental local-field state");
+            ( "bitpar",
+              J.Str
+                "64 replicas per block, integer quantized fields, shared threshold \
+                 tables; aggregate updates/s, single-threaded (blocks scale across \
+                 domains via Parallel)" ) ] );
+      ("results", J.Arr rows);
+      ("composite_valid_read_rate", J.Arr composites) ]
 
 (* --- Minor-embedding microbenchmark ----------------------------------------- *)
 
-(* A random logical interaction graph: ring + random chords, unit weights
-   (the embedder reads only the coupler structure). *)
-let random_logical ~num_vars ~chords ~seed =
-  let module Rng = Qac_anneal.Rng in
-  let rng = Rng.create seed in
-  let seen = Hashtbl.create (4 * num_vars) in
-  let j = ref [] in
-  for i = 0 to num_vars - 1 do
-    let key = (min i ((i + 1) mod num_vars), max i ((i + 1) mod num_vars)) in
-    Hashtbl.replace seen key ();
-    j := (key, 1.0) :: !j
-  done;
-  let added = ref 0 in
-  while !added < chords do
-    let a = Rng.int rng num_vars and b = Rng.int rng num_vars in
-    let key = (min a b, max a b) in
-    if a <> b && not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      j := (key, 1.0) :: !j;
-      incr added
-    end
-  done;
-  Qac_ising.Problem.create ~num_vars ~h:(Array.make num_vars 0.0) ~j:!j ()
-
-let multiplier_problem () =
-  let src =
-    "module mult (a, b, p); input [2:0] a; input [2:0] b; output [5:0] p; \
-     assign p = a * b; endmodule"
-  in
-  let t = Qac_core.Pipeline.compile src in
-  t.Qac_core.Pipeline.program.Qac_qmasm.Assemble.problem
-
 let embed_bench ~smoke () =
-  let module Embedding = Qac_embed.Embedding in
   (* (name, chimera grid size, logical problem). *)
+  let glass num_vars seed = ring_chords ~weighted:false ~num_vars ~chords:num_vars ~seed in
   let cases =
-    if smoke then
-      [ ("C4 spin glass", 4, random_logical ~num_vars:12 ~chords:12 ~seed:11);
-        ("C8 spin glass", 8, random_logical ~num_vars:24 ~chords:24 ~seed:12) ]
+    if smoke then [ ("C4 spin glass", 4, glass 12 11); ("C8 spin glass", 8, glass 24 12) ]
     else
-      [ ("C4 spin glass", 4, random_logical ~num_vars:16 ~chords:16 ~seed:11);
-        ("C8 spin glass", 8, random_logical ~num_vars:48 ~chords:48 ~seed:12);
+      [ ("C4 spin glass", 4, glass 16 11);
+        ("C8 spin glass", 8, glass 48 12);
         ("C8 multiplier", 8, multiplier_problem ());
-        ("C16 spin glass", 16, random_logical ~num_vars:72 ~chords:72 ~seed:13) ]
+        ("C16 spin glass", 16, glass 72 13) ]
   in
   let tries = if smoke then 1 else 2 in
   (* One seed's trajectory (how many refinement passes until a valid minor)
@@ -452,9 +411,9 @@ let embed_bench ~smoke () =
   let rows =
     List.map
       (fun (name, m, p) ->
-         let graph = Qac_chimera.Chimera.create m in
-         let num_qubits = Qac_chimera.Chimera.num_qubits graph in
-         let couplers = Qac_ising.Problem.num_interactions p in
+         let graph = Chimera.create m in
+         let num_qubits = Chimera.num_qubits graph in
+         let couplers = Problem.num_interactions p in
          (* Sum wall time across seeds; keep the best embedding found. *)
          let seconds, best, ok =
            List.fold_left
@@ -465,14 +424,10 @@ let embed_bench ~smoke () =
                    the second run from inheriting the first one's garbage. *)
                 let timed_once () =
                   Gc.compact ();
-                  let t0 = Unix.gettimeofday () in
-                  let e =
-                    Qac_embed.Cmr.find
-                      ~params:
-                        { Qac_embed.Cmr.default_params with tries; seed; num_threads = 1 }
-                      graph p
-                  in
-                  (Unix.gettimeofday () -. t0, e)
+                  elapsed (fun () ->
+                      Cmr.find
+                        ~params:{ Cmr.default_params with tries; seed; num_threads = 1 }
+                        graph p)
                 in
                 let t1, embedding = timed_once () in
                 let t2, _ = timed_once () in
@@ -498,84 +453,67 @@ let embed_bench ~smoke () =
            | None -> -1
          in
          Printf.printf "  %-16s n=%-3d couplers=%-3d qubits=%-5d %7.3fs (%d qb, %d/%d)\n"
-           name p.Qac_ising.Problem.num_vars couplers num_qubits seconds qubits ok
+           name p.Problem.num_vars couplers num_qubits seconds qubits ok
            (List.length seeds);
-         Printf.sprintf
-           "    { \"name\": %S, \"chimera_m\": %d, \"num_qubits\": %d,\n\
-           \      \"logical_vars\": %d, \"logical_couplers\": %d, \"tries\": %d, \"seeds\": %d,\n\
-           \      \"seconds\": %.6f, \"embedding_qubits\": %d, \"successes\": %d }"
-           name m num_qubits p.Qac_ising.Problem.num_vars couplers tries
-           (List.length seeds) seconds qubits ok)
+         J.Obj
+           [ ("name", J.Str name);
+             ("chimera_m", int m);
+             ("num_qubits", int num_qubits);
+             ("logical_vars", int p.Problem.num_vars);
+             ("logical_couplers", int couplers);
+             ("tries", int tries);
+             ("seeds", int (List.length seeds));
+             ("seconds", num seconds);
+             ("embedding_qubits", int qubits);
+             ("successes", int ok) ])
       cases
   in
   (* Cache behaviour: a second Pipeline.run of the same circuit shape must
      hit the cache and skip the embed span entirely. *)
-  let module P = Qac_core.Pipeline in
   let module Trace = Qac_diag.Trace in
   let t =
     P.compile
       "module t (a, b, o); input [1:0] a; input [1:0] b; output [3:0] o; \
        assign o = a * b; endmodule"
   in
-  let target =
-    P.Physical
-      { graph = Qac_chimera.Chimera.create 8;
-        embed_params = None;
-        chain_strength = None;
-        roof_duality = false }
-  in
-  let solver =
-    P.Sa { Qac_anneal.Sa.default_params with Qac_anneal.Sa.num_reads = 1; num_sweeps = 10 }
-  in
-  let cache = Qac_embed.Cache.create () in
+  let target = physical (Chimera.create 8) in
+  let cache = Cache.create () in
   let run_traced () =
     let trace = Trace.create () in
-    let (_ : P.run_result) = P.run t ~trace ~embed_cache:cache ~solver ~target in
-    trace
-  in
-  let embed_seconds trace =
-    List.fold_left
-      (fun acc s -> if s.Trace.name = "embed" then acc +. s.Trace.elapsed_seconds else acc)
-      0.0 (Trace.spans trace)
-  in
-  let cold = run_traced () in
-  let warm = run_traced () in
-  let cold_embed = embed_seconds cold in
-  let warm_hit = Trace.find_counter warm "embed-cache-hit" "embed-cache-hit" in
-  let warm_hit =
-    match warm_hit with
-    | Some v -> v
-    | None ->
-      (* The hit counter attaches to whichever span is open — look it up
-         across all spans. *)
+    let (_ : P.run_result) =
+      P.run t ~trace ~embed_cache:cache ~solver:(Experiments.sa ~reads:1 ~sweeps:10 ~seed:42)
+        ~target
+    in
+    let embed_seconds =
       List.fold_left
-        (fun acc s ->
-           match Trace.find_counter warm s.Trace.name "embed-cache-hit" with
-           | Some v -> acc + v
-           | None -> acc)
-        0 (Trace.spans warm)
+        (fun acc s -> if s.Trace.name = "embed" then acc +. s.Trace.elapsed_seconds else acc)
+        0.0 (Trace.spans trace)
+    in
+    (embed_seconds, Option.value ~default:0 (Trace.find_summary trace "embed-cache-hits"))
   in
-  let warm_embed = embed_seconds warm in
+  let cold_embed, _ = run_traced () in
+  let warm_embed, warm_hit = run_traced () in
   Printf.printf
     "  embed cache      cold=%8.3fs  warm=%8.3fs  warm-hit=%d (embed span %s)\n"
     cold_embed warm_embed warm_hit
     (if warm_embed = 0.0 then "skipped" else "present");
-  let oc = open_out "BENCH_EMBED.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"minor-embedding\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"CMR minor embedding into Chimera (shore 4), spin-glass and multiplier interaction graphs\",\n\
-    \  \"embedder\": \"Cmr: CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim\",\n\
-    \  \"results\": [\n%s\n  ],\n\
-    \  \"cache\": { \"cold_embed_seconds\": %.6f, \"warm_embed_seconds\": %.6f,\n\
-    \              \"warm_cache_hits\": %d, \"warm_embed_span_skipped\": %b }\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" rows)
-    cold_embed warm_embed warm_hit (warm_embed = 0.0);
-  close_out oc;
-  Printf.printf "wrote BENCH_EMBED.json\n"
+  write_json "BENCH_EMBED.json"
+    [ ("benchmark", J.Str "minor-embedding");
+      mode smoke;
+      ( "workload",
+        J.Str
+          "CMR minor embedding into Chimera (shore 4), spin-glass and multiplier \
+           interaction graphs" );
+      ( "embedder",
+        J.Str "Cmr: CSR rows, reused Dijkstra scratch, decrease-key int heap, bool-mask trim"
+      );
+      ("results", J.Arr rows);
+      ( "cache",
+        J.Obj
+          [ ("cold_embed_seconds", num cold_embed);
+            ("warm_embed_seconds", num warm_embed);
+            ("warm_cache_hits", int warm_hit);
+            ("warm_embed_span_skipped", J.Bool (warm_embed = 0.0)) ] ) ]
 
 (* --- Sharded serving tier ---------------------------------------------------- *)
 
@@ -586,72 +524,35 @@ let embed_bench ~smoke () =
    (2) responses are bit-identical across every arm — shard count and the
    wire change scheduling and placement, never answers. *)
 let serve_bench ~smoke ?store_dir () =
-  let module P = Qac_core.Pipeline in
-  let module Serve = Qac_serve.Serve in
-  let module Shard = Qac_serve.Shard in
   let module Server = Qac_serve.Server in
-  let module Protocol = Qac_serve.Protocol in
-  let module Tiler = Qac_embed.Tiler in
-  let module Sampler = Qac_anneal.Sampler in
   let module Hist = Qac_diag.Hist in
   let module Store = Qac_embed.Store in
-  let widths = if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
-  let specs =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "s%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, src))
-           ops)
-      widths
+  let fleet =
+    op_fleet ~prefix:"s" ~widths:(if smoke then [ 1; 2 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ])
   in
-  let circuits = List.map (fun (name, w, src) -> (name, w, P.compile src)) specs in
-  let pins_of i w = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
-  let jobs =
-    List.mapi
-      (fun i (name, w, t) ->
-         let program = P.assemble_with_pins ~pins:(pins_of i w) t in
-         { Serve.id = Printf.sprintf "%s#%d" name i;
-           problem = program.Qac_qmasm.Assemble.problem;
-           timeout_ms = None })
-      circuits
-  in
+  let jobs = fleet_jobs fleet in
   let n = List.length jobs in
   let tries = if smoke then 2 else 8 in
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
+  let reads, sweeps = if smoke then (10, 50) else (50, 200) in
+  let solver = solver (Experiments.sa ~reads ~sweeps ~seed:42) in
   let cores = Domain.recommended_domain_count () in
   let threads = min 8 cores in
-  let graph = Qac_chimera.Chimera.create 16 in
+  let graph = Chimera.create 16 in
   let tiler_params =
     { Tiler.default_params with
       Tiler.slack = 6.0;
-      Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries } }
+      Tiler.embed_params = Some { Cmr.default_params with tries } }
   in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
   Printf.printf
     "sharded serving: %d mixed circuits on %s, SA %d reads x %d sweeps, \
      tries=%d (%d cores)\n"
-    n graph.Qac_chimera.Topology.name sa_params.Qac_anneal.Sa.num_reads
-    sa_params.Qac_anneal.Sa.num_sweeps tries cores;
+    n graph.Topology.name reads sweeps tries cores;
   (* Everything that varies with scheduling is zeroed before comparison;
      what's left — status, spins, energies, occurrence counts, read count —
      is the answer, and must not move. *)
   let canon (r : Serve.result) =
-    Protocol.json_to_string
-      (Protocol.result_to_json
+    J.json_to_string
+      (J.result_to_json
          { r with
            Serve.batch = 0;
            wait_seconds = 0.0;
@@ -662,82 +563,74 @@ let serve_bench ~smoke ?store_dir () =
                r.Serve.response })
   in
   let canon_map results =
-    List.fold_left
-      (fun acc (r : Serve.result) -> (r.Serve.id, canon r) :: acc)
-      [] results
-    |> List.sort compare
+    List.sort compare (List.map (fun (r : Serve.result) -> (r.Serve.id, canon r)) results)
+  in
+  let rate hits misses =
+    if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
   in
   let hit_rate stats =
-    let hits, lookups =
+    let hits, misses =
       Array.fold_left
-        (fun (h, l) (s : Shard.shard_stats) ->
-           let c = s.Shard.cache in
-           (h + c.Qac_embed.Cache.hits,
-            l + c.Qac_embed.Cache.hits + c.Qac_embed.Cache.misses))
+        (fun (h, m) (s : Shard.shard_stats) ->
+           (h + s.Shard.cache.Cache.hits, m + s.Shard.cache.Cache.misses))
         (0, 0) stats
     in
-    if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
+    rate hits misses
   in
-  (* One JSON object per shard: how affinity routing actually distributed
-     work and cache locality, not just the pool aggregate. *)
-  let per_shard_json stats =
-    let objs =
-      Array.to_list stats
-      |> List.map (fun (s : Shard.shard_stats) ->
-        let c = s.Shard.cache in
-        let h = c.Qac_embed.Cache.hits and m = c.Qac_embed.Cache.misses in
-        let rate =
-          if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-        in
-        Printf.sprintf
-          "{ \"shard\": %d, \"jobs\": %d, \"cache_hits\": %d, \
-           \"cache_misses\": %d, \"store_hits\": %d, \"hit_rate\": %.4f }"
-          s.Shard.shard s.Shard.serve.Serve.jobs_done h m
-          c.Qac_embed.Cache.store_hits rate)
-    in
-    "[ " ^ String.concat ", " objs ^ " ]"
-  in
-  let sum_embed_misses stats =
-    Array.fold_left
-      (fun acc (s : Shard.shard_stats) -> acc + s.Shard.cache.Qac_embed.Cache.misses)
-      0 stats
-  in
+  let jps s = float_of_int n /. s in
+  let throughput seconds = [ ("seconds", num seconds); ("jobs_per_sec", num (jps seconds)) ] in
   (* Baseline: the plain in-process Serve batch path, which every other
      arm is compared against. *)
-  let baseline_cache = Qac_embed.Cache.create () in
-  let t0 = Unix.gettimeofday () in
-  let service =
-    Serve.create ~batch_jobs:n ~num_threads:threads ~tiler_params
-      ~embed_cache:baseline_cache ~solver ~graph ()
+  let baseline_results, baseline_seconds, _, _ =
+    serve_batch ~graph ~num_threads:threads ~tiler_params ~solver jobs
   in
-  List.iter (fun job -> Serve.submit service job) jobs;
-  let baseline_results = Serve.drain service in
-  let baseline_seconds = Unix.gettimeofday () -. t0 in
   let baseline_canon = canon_map baseline_results in
   (* Pool arms: threads divide across shards so every arm gets the same
      core budget — shard scaling must come from parallel batches and
      cache locality, not from quietly using more hardware. *)
-  let run_pool ~num_shards =
+  let run_pool ?store ?batch_window_s ~num_shards jobs =
     let pool =
-      Shard.create ~num_shards ~batch_jobs:n
+      Shard.create ~num_shards ~batch_jobs:(List.length jobs) ?batch_window_s
         ~num_threads:(max 1 (threads / num_shards))
-        ~tiler_params ~solver ~graph ()
+        ~tiler_params ?store ~solver ~graph ()
     in
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun job -> ignore (Shard.submit pool job)) jobs;
-    let results = List.map snd (Shard.drain pool) in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let lat = Shard.latency pool in
-    let stats = Shard.stats pool in
-    (canon_map results, seconds, hit_rate stats,
-     1000.0 *. Hist.p50 lat, 1000.0 *. Hist.p99 lat, stats)
+    let seconds, results =
+      elapsed (fun () ->
+          List.iter (fun job -> ignore (Shard.submit pool job)) jobs;
+          List.map snd (Shard.drain pool))
+    in
+    (results, seconds, pool)
   in
-  let one_canon, one_seconds, one_hit, one_p50, one_p99, one_stats =
-    run_pool ~num_shards:1
+  (* One JSON object per shard: how affinity routing actually distributed
+     work and cache locality, not just the pool aggregate. *)
+  let shard_arm num_shards =
+    let results, seconds, pool = run_pool ~num_shards jobs in
+    let lat = Shard.latency pool and stats = Shard.stats pool in
+    let p50 = 1000.0 *. Hist.p50 lat and p99 = 1000.0 *. Hist.p99 lat in
+    let per_shard (s : Shard.shard_stats) =
+      let c = s.Shard.cache in
+      J.Obj
+        [ ("shard", int s.Shard.shard);
+          ("jobs", int s.Shard.serve.Serve.jobs_done);
+          ("cache_hits", int c.Cache.hits);
+          ("cache_misses", int c.Cache.misses);
+          ("store_hits", int c.Cache.store_hits);
+          ("hit_rate", rounded "%.4f" (rate c.Cache.hits c.Cache.misses)) ]
+    in
+    ( canon_map results,
+      seconds,
+      p50,
+      p99,
+      hit_rate stats,
+      J.Obj
+        (throughput seconds
+         @ [ ("p50_ms", num p50);
+             ("p99_ms", num p99);
+             ("cache_hit_rate", rounded "%.4f" (hit_rate stats));
+             ("per_shard", J.Arr (Array.to_list (Array.map per_shard stats))) ]) )
   in
-  let four_canon, four_seconds, four_hit, four_p50, four_p99, four_stats =
-    run_pool ~num_shards:4
-  in
+  let one_canon, one_seconds, one_p50, one_p99, one_hit, one_json = shard_arm 1 in
+  let four_canon, four_seconds, four_p50, four_p99, four_hit, four_json = shard_arm 4 in
   (* Socket arm: a 1-shard pool behind the server, driven over a
      Unix-domain socket with pipelined submits then polls. *)
   let sock_path = Filename.temp_file "qac_serve_bench" ".sock" in
@@ -747,39 +640,29 @@ let serve_bench ~smoke ?store_dir () =
   in
   let server = Server.create ~pool ~sockaddr:(Unix.ADDR_UNIX sock_path) () in
   let server_domain = Domain.spawn (fun () -> Server.run server) in
-  let fd = Protocol.connect (Unix.ADDR_UNIX sock_path) in
-  let t0 = Unix.gettimeofday () in
-  let tickets =
-    List.map
-      (fun job ->
-         let rec submit () =
-           match Protocol.call fd (Protocol.Submit job) with
-           | Protocol.Submitted { ticket; _ } -> ticket
-           | Protocol.Busy { retry_after_ms } ->
-             Unix.sleepf (retry_after_ms /. 1000.0);
-             submit ()
-           | _ -> failwith "serve bench: unexpected reply to submit"
-         in
-         submit ())
-      jobs
+  let fd = J.connect (Unix.ADDR_UNIX sock_path) in
+  let socket_seconds, socket_results =
+    elapsed (fun () ->
+        let rec submit job =
+          match J.call fd (J.Submit job) with
+          | J.Submitted { ticket; _ } -> ticket
+          | J.Busy { retry_after_ms } ->
+            Unix.sleepf (retry_after_ms /. 1000.0);
+            submit job
+          | _ -> failwith "serve bench: unexpected reply to submit"
+        in
+        let rec poll ticket =
+          match J.call fd (J.Poll ticket) with
+          | J.Completed r -> r
+          | J.Pending ->
+            Unix.sleepf 0.002;
+            poll ticket
+          | _ -> failwith "serve bench: unexpected reply to poll"
+        in
+        List.map poll (List.map submit jobs))
   in
-  let socket_results =
-    List.map
-      (fun ticket ->
-         let rec poll () =
-           match Protocol.call fd (Protocol.Poll ticket) with
-           | Protocol.Completed r -> r
-           | Protocol.Pending ->
-             Unix.sleepf 0.002;
-             poll ()
-           | _ -> failwith "serve bench: unexpected reply to poll"
-         in
-         poll ())
-      tickets
-  in
-  let socket_seconds = Unix.gettimeofday () -. t0 in
-  (match Protocol.call fd Protocol.Shutdown with
-   | Protocol.Shutdown_ok -> ()
+  (match J.call fd J.Shutdown with
+   | J.Shutdown_ok -> ()
    | _ -> failwith "serve bench: unexpected reply to shutdown");
   Unix.close fd;
   ignore (Domain.join server_domain);
@@ -790,41 +673,42 @@ let serve_bench ~smoke ?store_dir () =
      a brand-new handle — a restarted process — and must find every
      compiled problem and embedding on disk.  Timing covers the front half
      too (snapshot-or-compile), which is exactly what a restart saves. *)
-  let run_store_arm store =
+  let store_arm store =
     let cc = P.compile_cache_create () in
     let snap_hits = ref 0 and snap_misses = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    let arm_jobs =
-      List.mapi
-        (fun i (name, w, src) ->
-           let pins = pins_of i w in
-           let key = P.problem_snapshot_key ~src ~top:None ~steps:None ~pins in
-           let problem =
-             match Store.find_problem store key with
-             | Some p ->
-               incr snap_hits;
-               p
-             | None ->
-               incr snap_misses;
-               let t = P.compile_cached ~cache:cc src in
-               let program = P.assemble_with_pins ~pins t in
-               Store.put_problem store key program.Qac_qmasm.Assemble.problem;
-               program.Qac_qmasm.Assemble.problem
-           in
-           { Serve.id = Printf.sprintf "%s#%d" name i; problem; timeout_ms = None })
-        specs
+    let front_seconds, arm_jobs =
+      elapsed (fun () ->
+          List.map
+            (fun (id, src, pins) ->
+               let key = P.problem_snapshot_key ~src ~top:None ~steps:None ~pins in
+               match Store.find_problem store key with
+               | Some p ->
+                 incr snap_hits;
+                 job id p
+               | None ->
+                 incr snap_misses;
+                 let t = P.compile_cached ~cache:cc src in
+                 let p = (P.assemble_with_pins ~pins t).Qac_qmasm.Assemble.problem in
+                 Store.put_problem store key p;
+                 job id p)
+            fleet)
     in
-    let pool =
-      Shard.create ~num_shards:4 ~batch_jobs:n
-        ~num_threads:(max 1 (threads / 4))
-        ~tiler_params ~store ~solver ~graph ()
-    in
-    List.iter (fun job -> ignore (Shard.submit pool job)) arm_jobs;
-    let results = List.map snd (Shard.drain pool) in
-    let seconds = Unix.gettimeofday () -. t0 in
+    let results, seconds, pool = run_pool ~store ~num_shards:4 arm_jobs in
     let stats = Shard.stats pool in
-    (canon_map results, seconds, !snap_hits, !snap_misses,
-     sum_embed_misses stats, hit_rate stats)
+    let embed_misses =
+      Array.fold_left
+        (fun acc (s : Shard.shard_stats) -> acc + s.Shard.cache.Cache.misses)
+        0 stats
+    in
+    let seconds = front_seconds +. seconds in
+    ( canon_map results,
+      (seconds, !snap_hits, !snap_misses, embed_misses),
+      J.Obj
+        (throughput seconds
+         @ [ ("problem_snapshot_hits", int !snap_hits);
+             ("problem_snapshot_misses", int !snap_misses);
+             ("embed_misses", int embed_misses);
+             ("cache_hit_rate", rounded "%.4f" (hit_rate stats)) ]) )
   in
   let store_path =
     match store_dir with
@@ -833,15 +717,17 @@ let serve_bench ~smoke ?store_dir () =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "qac_store_bench.%d" (Unix.getpid ()))
   in
-  let cold_canon, cold_seconds, cold_snap_hits, cold_snap_misses,
-      cold_embed_misses, cold_hit =
-    run_store_arm (Store.open_dir store_path)
+  let (cold_canon, cold, cold_json), (warm_canon, warm, warm_json), store_stats =
+    Fun.protect
+      ~finally:(fun () ->
+          if store_dir = None && Sys.file_exists store_path then remove_tree store_path)
+      (fun () ->
+         let cold = store_arm (Store.open_dir store_path) in
+         let warm = store_arm (Store.open_dir store_path) in
+         (cold, warm, Store.stats (Store.open_dir ~readonly:true store_path)))
   in
-  let warm_canon, warm_seconds, warm_snap_hits, warm_snap_misses,
-      warm_embed_misses, warm_hit =
-    run_store_arm (Store.open_dir store_path)
-  in
-  let store_stats = Store.stats (Store.open_dir ~readonly:true store_path) in
+  let cold_seconds, cold_snap_hits, cold_snap_misses, cold_embed_misses = cold in
+  let warm_seconds, warm_snap_hits, warm_snap_misses, warm_embed_misses = warm in
   let warm_speedup = cold_seconds /. warm_seconds in
   (* Duplicate-heavy arm: each of the first [dup_unique] jobs submitted 4x.
      Coalescing must collapse every group onto one leader: exactly one
@@ -855,18 +741,12 @@ let serve_bench ~smoke ?store_dir () =
     List.concat_map
       (fun (j : Serve.job) ->
          List.init dup_copies (fun k ->
-           if k = 0 then j
-           else { j with Serve.id = Printf.sprintf "%s~d%d" j.Serve.id k }))
+           if k = 0 then j else { j with Serve.id = Printf.sprintf "%s~d%d" j.Serve.id k }))
       dup_base
   in
-  let dup_pool =
-    Shard.create ~num_shards:1 ~batch_jobs:(List.length dup_jobs + 1)
-      ~batch_window_s:0.25 ~num_threads:threads ~tiler_params ~solver ~graph ()
+  let dup_results, dup_seconds, dup_pool =
+    run_pool ~batch_window_s:0.25 ~num_shards:1 dup_jobs
   in
-  let dt0 = Unix.gettimeofday () in
-  List.iter (fun job -> ignore (Shard.submit dup_pool job)) dup_jobs;
-  let dup_results = List.map snd (Shard.drain dup_pool) in
-  let dup_seconds = Unix.gettimeofday () -. dt0 in
   let dup_sv = (Shard.stats dup_pool).(0).Shard.serve in
   let dup_placed = dup_sv.Serve.placed in
   let dup_coalesced = dup_sv.Serve.coalesced in
@@ -894,7 +774,6 @@ let serve_bench ~smoke ?store_dir () =
       (fun c -> c = baseline_canon)
       [ one_canon; four_canon; socket_canon; cold_canon; warm_canon ]
   in
-  let jps s = float_of_int n /. s in
   Printf.printf
     "  in-process batch:   %6.2fs (%5.2f jobs/s)\n\
     \  1 shard:            %6.2fs (%5.2f jobs/s, p50 %.0f ms, p99 %.0f ms, \
@@ -925,57 +804,44 @@ let serve_bench ~smoke ?store_dir () =
          dup_unique ((dup_copies - 1) * dup_unique) dup_placed dup_coalesced);
   if not dup_identical then
     failwith "serve bench: coalesced followers diverged from their leaders";
-  let oc = open_out "BENCH_SERVE.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"sharded-serving\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"mixed %d-circuit add/xor/and/or, SA %d reads x %d sweeps, embed tries=%d\",\n\
-    \  \"topology\": %S,\n\
-    \  \"num_jobs\": %d,\n\
-    \  \"cores\": %d,\n\
-    \  \"total_threads\": %d,\n\
-    \  \"note\": \"every arm shares the same core budget; threads divide across shards\",\n\
-    \  \"inproc_batch\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f },\n\
-    \  \"one_shard\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
-    \  \"four_shard_affinity\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \                 \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"cache_hit_rate\": %.4f,\n\
-    \                 \"per_shard\": %s },\n\
-    \  \"socket_one_shard\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f },\n\
-    \  \"store\": {\n\
-    \    \"dir\": %S,\n\
-    \    \"cold\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \               \"problem_snapshot_hits\": %d, \"problem_snapshot_misses\": %d,\n\
-    \               \"embed_misses\": %d, \"cache_hit_rate\": %.4f },\n\
-    \    \"warm_restart\": { \"seconds\": %.6f, \"jobs_per_sec\": %.3f,\n\
-    \               \"problem_snapshot_hits\": %d, \"problem_snapshot_misses\": %d,\n\
-    \               \"embed_misses\": %d, \"cache_hit_rate\": %.4f },\n\
-    \    \"warm_speedup\": %.2f,\n\
-    \    \"warm_zero_embed_misses\": %b,\n\
-    \    \"artifacts\": { \"embeddings\": %d, \"problems\": %d }\n\
-    \  },\n\
-    \  \"duplicate_heavy\": { \"seconds\": %.6f, \"submitted\": %d, \"unique\": %d,\n\
-    \               \"placed\": %d, \"coalesced\": %d,\n\
-    \               \"one_solve_per_unique\": %b, \"bit_identical_responses\": %b },\n\
-    \  \"deterministic_across_arms\": %b\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    n sa_params.Qac_anneal.Sa.num_reads sa_params.Qac_anneal.Sa.num_sweeps tries
-    graph.Qac_chimera.Topology.name n cores threads baseline_seconds
-    (jps baseline_seconds) one_seconds (jps one_seconds) one_p50 one_p99 one_hit
-    (per_shard_json one_stats) four_seconds (jps four_seconds) four_p50 four_p99
-    four_hit (per_shard_json four_stats) socket_seconds (jps socket_seconds) store_path
-    cold_seconds (jps cold_seconds) cold_snap_hits cold_snap_misses
-    cold_embed_misses cold_hit warm_seconds (jps warm_seconds) warm_snap_hits
-    warm_snap_misses warm_embed_misses warm_hit warm_speedup
-    (warm_embed_misses = 0)
-    store_stats.Store.embeddings store_stats.Store.problems dup_seconds
-    (List.length dup_jobs) dup_unique dup_placed dup_coalesced dup_one_solve
-    dup_identical deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_SERVE.json\n"
+  write_json "BENCH_SERVE.json"
+    [ ("benchmark", J.Str "sharded-serving");
+      mode smoke;
+      ( "workload",
+        J.Str
+          (Printf.sprintf
+             "mixed %d-circuit add/xor/and/or, SA %d reads x %d sweeps, embed tries=%d" n
+             reads sweeps tries) );
+      ("topology", J.Str graph.Topology.name);
+      ("num_jobs", int n);
+      ("cores", int cores);
+      ("total_threads", int threads);
+      ("note", J.Str "every arm shares the same core budget; threads divide across shards");
+      ("inproc_batch", J.Obj (throughput baseline_seconds));
+      ("one_shard", one_json);
+      ("four_shard_affinity", four_json);
+      ("socket_one_shard", J.Obj (throughput socket_seconds));
+      ( "store",
+        J.Obj
+          [ ("dir", J.Str store_path);
+            ("cold", cold_json);
+            ("warm_restart", warm_json);
+            ("warm_speedup", num warm_speedup);
+            ("warm_zero_embed_misses", J.Bool (warm_embed_misses = 0));
+            ( "artifacts",
+              J.Obj
+                [ ("embeddings", int store_stats.Store.embeddings);
+                  ("problems", int store_stats.Store.problems) ] ) ] );
+      ( "duplicate_heavy",
+        J.Obj
+          [ ("seconds", num dup_seconds);
+            ("submitted", int (List.length dup_jobs));
+            ("unique", int dup_unique);
+            ("placed", int dup_placed);
+            ("coalesced", int dup_coalesced);
+            ("one_solve_per_unique", J.Bool dup_one_solve);
+            ("bit_identical_responses", J.Bool dup_identical) ] );
+      ("deterministic_across_arms", J.Bool deterministic) ]
 
 (* --- Pegasus vs Chimera ------------------------------------------------------ *)
 
@@ -985,16 +851,7 @@ let serve_bench ~smoke ?store_dir () =
    the same circuits — the acceptance bar is max chain <= the Chimera
    baseline on the E1-style circuit. *)
 let pegasus_bench ~smoke () =
-  let module P = Qac_core.Pipeline in
-  let module Embedding = Qac_embed.Embedding in
-  let module Cmr = Qac_embed.Cmr in
-  let module Serve = Qac_serve.Serve in
-  let module Tiler = Qac_embed.Tiler in
-  let module Topology = Qac_chimera.Topology in
-  let fig2_src =
-    "module circuit (s, a, b, c); input s, a, b; output [1:0] c; assign c = s ? a + b : a - b; endmodule"
-  in
-  let fig2 = Qac_core.Pipeline.compile fig2_src in
+  let fig2 = P.compile Experiments.fig2_src in
   let fig2_problem = fig2.P.program.Qac_qmasm.Assemble.problem in
   (* (name, problem, chimera sizes to try, pegasus sizes to try): the first
      size that embeds is reported, so a hard seed cannot sink the bench. *)
@@ -1007,11 +864,9 @@ let pegasus_bench ~smoke () =
   let embed_stats graph problem =
     let params = { (Cmr.params_for graph) with Cmr.seed = 5 } in
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    match Cmr.find ~params graph problem with
-    | None -> None
-    | Some e ->
-      let seconds = Unix.gettimeofday () -. t0 in
+    match elapsed (fun () -> Cmr.find ~params graph problem) with
+    | _, None -> None
+    | seconds, Some e ->
       (match Embedding.verify graph problem e with
        | Ok () -> ()
        | Error msg -> failwith ("pegasus bench: invalid embedding: " ^ msg));
@@ -1031,128 +886,85 @@ let pegasus_bench ~smoke () =
        | Some stats -> (graph, stats)
        | None -> first_embedding build problem rest)
   in
+  let fabric_json g (seconds, qubits, max_chain, mean_chain) =
+    J.Obj
+      [ ("graph", J.Str g.Topology.name);
+        ("working_qubits", int (Topology.num_working_qubits g));
+        ("embedding_qubits", int qubits);
+        ("max_chain", int max_chain);
+        ("mean_chain", rounded "%.3f" mean_chain);
+        ("embed_seconds", num seconds) ]
+  in
   Printf.printf
     "pegasus vs chimera: CMR embedding at matched working-qubit budgets\n\
      (params_for retune: degree-15 fabrics get tries=16 passes=16)\n";
-  let all_within = ref true in
   let embed_rows =
     List.map
       (fun (name, problem, chimera_sizes, pegasus_sizes) ->
-         let cg, (cs, cq, cmax, cmean) =
-           first_embedding (fun m -> Qac_chimera.Chimera.create m) problem chimera_sizes
+         let cg, ((cs, cq, cmax, cmean) as c) =
+           first_embedding (fun m -> Chimera.create m) problem chimera_sizes
          in
-         let pg, (ps, pq, pmax, pmean) =
-           first_embedding (fun m -> Qac_chimera.Pegasus.create m) problem pegasus_sizes
+         let pg, ((ps, pq, pmax, pmean) as p) =
+           first_embedding (fun m -> Pegasus.create m) problem pegasus_sizes
          in
-         if pmax > cmax then all_within := false;
          Printf.printf
            "  %-9s n=%-3d  %-14s %3d qb  max-chain=%d  mean=%.2f  %.3fs   %-10s %3d qb  \
             max-chain=%d  mean=%.2f  %.3fs\n"
-           name problem.Qac_ising.Problem.num_vars cg.Topology.name cq cmax cmean cs
+           name problem.Problem.num_vars cg.Topology.name cq cmax cmean cs
            pg.Topology.name pq pmax pmean ps;
-         Printf.sprintf
-           "    { \"circuit\": %S, \"logical_vars\": %d,\n\
-           \      \"chimera\": { \"graph\": %S, \"working_qubits\": %d, \"embedding_qubits\": %d,\n\
-           \                   \"max_chain\": %d, \"mean_chain\": %.3f, \"embed_seconds\": %.6f },\n\
-           \      \"pegasus\": { \"graph\": %S, \"working_qubits\": %d, \"embedding_qubits\": %d,\n\
-           \                   \"max_chain\": %d, \"mean_chain\": %.3f, \"embed_seconds\": %.6f },\n\
-           \      \"pegasus_max_chain_le_chimera\": %b }"
-           name problem.Qac_ising.Problem.num_vars cg.Topology.name
-           (Topology.num_working_qubits cg) cq cmax cmean cs pg.Topology.name
-           (Topology.num_working_qubits pg) pq pmax pmean ps (pmax <= cmax))
+         ( pmax <= cmax,
+           J.Obj
+             [ ("circuit", J.Str name);
+               ("logical_vars", int problem.Problem.num_vars);
+               ("chimera", fabric_json cg c);
+               ("pegasus", fabric_json pg p);
+               ("pegasus_max_chain_le_chimera", J.Bool (pmax <= cmax)) ] ))
       cases
   in
   (* Native K4: on Pegasus a 4-clique embeds with unit chains; on Chimera
      even K3 needs a chain (the fabric is bipartite). *)
-  let p2 = Qac_chimera.Pegasus.create 2 in
   let k4_unit_chains =
-    match Qac_embed.Clique.embed p2 ~n:4 with
-    | Some e ->
-      Array.for_all (fun chain -> Array.length chain = 1) e.Qac_embed.Embedding.chains
+    match Qac_embed.Clique.embed (Pegasus.create 2) ~n:4 with
+    | Some e -> Array.for_all (fun chain -> Array.length chain = 1) e.Embedding.chains
     | None -> false
   in
   Printf.printf "  native K4 on P2 with unit chains: %b\n" k4_unit_chains;
   (* End-to-end: compile once, then Pipeline.run fig2 forward on each
-     fabric. *)
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 10 else 50);
-      num_sweeps = (if smoke then 50 else 200);
-      seed = 42 }
-  in
-  (* The e2e arm gets a fixed SA budget even in smoke mode (it is <1s):
-     with the smoke read count the run rarely finds a valid solution, and a
-     latency number for a failed solve compares nothing. *)
-  let e2e_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = 100;
-      num_sweeps = 500;
-      seed = 42 }
-  in
+     fabric.  A fixed SA budget even in smoke mode (it is <1s): with the
+     smoke read count the run rarely finds a valid solution, and a latency
+     number for a failed solve compares nothing. *)
+  let e2e_reads, e2e_sweeps = (100, 500) in
   let e2e graph =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      P.run fig2
-        ~pins:[ ("s", 1); ("a", 1); ("b", 1) ]
-        ~solver:(P.Sa e2e_params)
-        ~target:
-          (P.Physical
-             { graph; embed_params = None; chain_strength = None; roof_duality = false })
-    in
-    (Unix.gettimeofday () -. t0, P.valid_solutions r <> [])
+    elapsed (fun () ->
+        let r =
+          P.run fig2
+            ~pins:[ ("s", 1); ("a", 1); ("b", 1) ]
+            ~solver:(Experiments.sa ~reads:e2e_reads ~sweeps:e2e_sweeps ~seed:42)
+            ~target:(physical graph)
+        in
+        P.valid_solutions r <> [])
   in
-  let chimera_e2e_seconds, chimera_e2e_valid = e2e (Qac_chimera.Chimera.create 4) in
-  let pegasus_e2e_seconds, pegasus_e2e_valid = e2e (Qac_chimera.Pegasus.create 3) in
+  let chimera_e2e_seconds, chimera_e2e_valid = e2e (Chimera.create 4) in
+  let pegasus_e2e_seconds, pegasus_e2e_valid = e2e (Pegasus.create 3) in
   Printf.printf
     "  e2e fig2: chimera-4x4x4 %.3fs (valid=%b)   pegasus-3 %.3fs (valid=%b)\n"
     chimera_e2e_seconds chimera_e2e_valid pegasus_e2e_seconds pegasus_e2e_valid;
   (* Tiled serving on Pegasus: a multi-job batch must place, solve, and
      drain with every job Done — the serve-side acceptance criterion. *)
-  let widths = if smoke then [ 1 ] else [ 1; 2 ] in
-  let ops = [ ("add", "+"); ("xor", "^"); ("and", "&"); ("or", "|") ] in
-  let serve_jobs =
-    List.concat_map
-      (fun w ->
-         List.map
-           (fun (opname, op) ->
-              let name = Printf.sprintf "p%d_%s" w opname in
-              let src =
-                Printf.sprintf
-                  "module %s (a, b, y); input [%d:0] a; input [%d:0] b; \
-                   output [%d:0] y; assign y = a %s b; endmodule"
-                  name (w - 1) (w - 1) w op
-              in
-              (name, w, P.compile src))
-           ops)
-      widths
-  in
-  let serve_graph = Qac_chimera.Pegasus.create (if smoke then 5 else 6) in
-  let tiler_params =
-    { Tiler.default_params with Tiler.slack = 6.0 }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let serve_jobs = fleet_jobs (op_fleet ~prefix:"p" ~widths:(if smoke then [ 1 ] else [ 1; 2 ])) in
+  let serve_graph = Pegasus.create (if smoke then 5 else 6) in
+  let reads, sweeps = if smoke then (10, 50) else (50, 200) in
   let threads = min 4 (Domain.recommended_domain_count ()) in
-  let njobs = List.length serve_jobs in
-  let t0 = Unix.gettimeofday () in
-  let service =
-    Serve.create ~batch_jobs:njobs ~num_threads:threads ~tiler_params
-      ~embed_cache:(Qac_embed.Cache.create ()) ~solver ~graph:serve_graph ()
+  let results, serve_seconds, st, _ =
+    serve_batch ~graph:serve_graph ~num_threads:threads
+      ~tiler_params:{ Tiler.default_params with Tiler.slack = 6.0 }
+      ~solver:(solver (Experiments.sa ~reads ~sweeps ~seed:42))
+      serve_jobs
   in
-  List.iteri
-    (fun i (name, w, t) ->
-       let pins = [ ("a", i mod (1 lsl w)); ("b", ((3 * i) + 1) mod (1 lsl w)) ] in
-       let program = P.assemble_with_pins ~pins t in
-       Serve.submit service
-         { Serve.id = Printf.sprintf "%s#%d" name i;
-           problem = program.Qac_qmasm.Assemble.problem;
-           timeout_ms = None })
-    serve_jobs;
-  let results = Serve.drain service in
-  let serve_seconds = Unix.gettimeofday () -. t0 in
+  let njobs = List.length serve_jobs in
   let serve_done =
     List.length (List.filter (fun (r : Serve.result) -> r.Serve.status = Serve.Done) results)
   in
-  let st = Serve.stats service in
   Printf.printf
     "  serve on %s: %d/%d done in %.2fs (%d batches, occupancy %.1f%%, %d deferrals)\n"
     serve_graph.Topology.name serve_done njobs serve_seconds st.Serve.batches
@@ -1185,41 +997,45 @@ let pegasus_bench ~smoke () =
          Printf.printf
            "  cell %-5s gap: 2000q=%g (%d anc)  advantage=%g (%d anc)\n" name gap_2000q
            anc_2000q gap_adv anc_adv;
-         Printf.sprintf
-           "    { \"cell\": %S, \"gap_2000q\": %g, \"ancillas_2000q\": %d, \
-            \"gap_advantage\": %g, \"ancillas_advantage\": %d }"
-           name gap_2000q anc_2000q gap_adv anc_adv)
+         J.Obj
+           [ ("cell", J.Str name);
+             ("gap_2000q", rounded "%g" gap_2000q);
+             ("ancillas_2000q", int anc_2000q);
+             ("gap_advantage", rounded "%g" gap_adv);
+             ("ancillas_advantage", int anc_adv) ])
       cell_tables
   in
-  let oc = open_out "BENCH_PEGASUS.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"pegasus-vs-chimera\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"CMR embedding, end-to-end Pipeline.run, tiled Serve batch, and LP cell rederivation on Pegasus vs Chimera at matched working-qubit budgets\",\n\
-    \  \"embeddings\": [\n%s\n  ],\n\
-    \  \"all_max_chains_within_chimera_baseline\": %b,\n\
-    \  \"native_k4_unit_chains\": %b,\n\
-    \  \"e2e\": { \"circuit\": \"fig2-e1\", \"reads\": %d, \"sweeps\": %d,\n\
-    \           \"note\": \"fixed SA budget in both modes\",\n\
-    \           \"chimera_seconds\": %.6f, \"chimera_valid\": %b,\n\
-    \           \"pegasus_seconds\": %.6f, \"pegasus_valid\": %b },\n\
-    \  \"serve\": { \"graph\": %S, \"jobs\": %d, \"done\": %d, \"seconds\": %.6f,\n\
-    \             \"batches\": %d, \"mean_occupancy_pct\": %.1f, \"deferrals\": %d,\n\
-    \             \"threads\": %d },\n\
-    \  \"cells\": [\n%s\n  ]\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    (String.concat ",\n" embed_rows)
-    !all_within k4_unit_chains e2e_params.Qac_anneal.Sa.num_reads
-    e2e_params.Qac_anneal.Sa.num_sweeps chimera_e2e_seconds chimera_e2e_valid
-    pegasus_e2e_seconds pegasus_e2e_valid serve_graph.Topology.name njobs serve_done
-    serve_seconds st.Serve.batches
-    (100.0 *. st.Serve.mean_occupancy)
-    st.Serve.deferrals threads
-    (String.concat ",\n" cell_rows);
-  close_out oc;
-  Printf.printf "wrote BENCH_PEGASUS.json\n"
+  write_json "BENCH_PEGASUS.json"
+    [ ("benchmark", J.Str "pegasus-vs-chimera");
+      mode smoke;
+      ( "workload",
+        J.Str
+          "CMR embedding, end-to-end Pipeline.run, tiled Serve batch, and LP cell \
+           rederivation on Pegasus vs Chimera at matched working-qubit budgets" );
+      ("embeddings", J.Arr (List.map snd embed_rows));
+      ("all_max_chains_within_chimera_baseline", J.Bool (List.for_all fst embed_rows));
+      ("native_k4_unit_chains", J.Bool k4_unit_chains);
+      ( "e2e",
+        J.Obj
+          [ ("circuit", J.Str "fig2-e1");
+            ("reads", int e2e_reads);
+            ("sweeps", int e2e_sweeps);
+            ("note", J.Str "fixed SA budget in both modes");
+            ("chimera_seconds", num chimera_e2e_seconds);
+            ("chimera_valid", J.Bool chimera_e2e_valid);
+            ("pegasus_seconds", num pegasus_e2e_seconds);
+            ("pegasus_valid", J.Bool pegasus_e2e_valid) ] );
+      ( "serve",
+        J.Obj
+          [ ("graph", J.Str serve_graph.Topology.name);
+            ("jobs", int njobs);
+            ("done", int serve_done);
+            ("seconds", num serve_seconds);
+            ("batches", int st.Serve.batches);
+            ("mean_occupancy_pct", rounded "%.1f" (100.0 *. st.Serve.mean_occupancy));
+            ("deferrals", int st.Serve.deferrals);
+            ("threads", int threads) ] );
+      ("cells", J.Arr cell_rows) ]
 
 (* --- SAT workload through the serving tier --------------------------------- *)
 
@@ -1233,12 +1049,6 @@ let pegasus_bench ~smoke () =
 let sat_bench ~smoke () =
   let module Dimacs = Qac_sat.Dimacs in
   let module Compile = Qac_sat.Compile in
-  let module Serve = Qac_serve.Serve in
-  let module Tiler = Qac_embed.Tiler in
-  let module Cache = Qac_embed.Cache in
-  let module Topology = Qac_chimera.Topology in
-  let module Sampler = Qac_anneal.Sampler in
-  let module P = Qac_core.Pipeline in
   let num_instances = if smoke then 8 else 32 in
   let n = if smoke then 8 else 14 in
   let m = if smoke then 26 else 49 in
@@ -1282,38 +1092,25 @@ let sat_bench ~smoke () =
       (fun (c : Compile.t) -> Cache.structure_digest c.Compile.problem = digest0)
       compiled
   in
+  let spins = compiled.(0).Compile.problem.Problem.num_vars in
   Printf.printf
     "planted 3-SAT: %d instances, n=%d m=%d -> %d spins, %d couplers each \
      (shared structure: %b)\n"
-    num_instances n m
-    compiled.(0).Compile.problem.Qac_ising.Problem.num_vars
-    (Array.length compiled.(0).Compile.problem.Qac_ising.Problem.couplers)
+    num_instances n m spins
+    (Array.length compiled.(0).Compile.problem.Problem.couplers)
     shared_structure;
-  let sa_params =
-    { Qac_anneal.Sa.default_params with
-      Qac_anneal.Sa.num_reads = (if smoke then 12 else 32);
-      num_sweeps = (if smoke then 100 else 400);
-      seed = 42 }
-  in
-  let solver ~deadline p = P.dispatch_solver ~num_threads:1 ?deadline (P.Sa sa_params) p in
+  let reads, sweeps = if smoke then (12, 100) else (32, 400) in
+  let solver = solver (Experiments.sa ~reads ~sweeps ~seed:42) in
   let threads = min 4 (Domain.recommended_domain_count ()) in
   let tiler_params = { Tiler.default_params with Tiler.slack = 6.0 } in
+  let jobs =
+    Array.to_list
+      (Array.mapi (fun i (c : Compile.t) -> job (string_of_int i) c.Compile.problem) compiled)
+  in
   let run_graph graph =
-    let embed_cache = Cache.create () in
-    let t0 = Unix.gettimeofday () in
-    let service =
-      Serve.create ~batch_jobs:num_instances ~num_threads:threads ~tiler_params
-        ~embed_cache ~solver ~graph ()
+    let results, seconds, st, cache =
+      serve_batch ~graph ~num_threads:threads ~tiler_params ~solver jobs
     in
-    Array.iteri
-      (fun i (c : Compile.t) ->
-         Serve.submit service
-           { Serve.id = string_of_int i; problem = c.Compile.problem; timeout_ms = None })
-      compiled;
-    let results = Serve.drain service in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let st = Serve.stats service in
-    let cache = Cache.stats embed_cache in
     let served = ref 0 and solved = ref 0 in
     List.iter
       (fun (r : Serve.result) ->
@@ -1338,47 +1135,45 @@ let sat_bench ~smoke () =
       graph.Topology.name !served num_instances !solved num_instances
       (100.0 *. solved_fraction) st.Serve.jobs_per_second st.Serve.batches
       (100.0 *. st.Serve.mean_occupancy) cache.Cache.hits cache.Cache.misses;
-    Printf.sprintf
-      "    { \"graph\": %S, \"jobs\": %d, \"done\": %d, \"solved\": %d,\n\
-      \      \"solved_fraction\": %.4f, \"jobs_per_second\": %.3f, \"seconds\": %.6f,\n\
-      \      \"batches\": %d, \"mean_occupancy_pct\": %.1f,\n\
-      \      \"embed_cache_hits\": %d, \"embed_cache_misses\": %d }"
-      graph.Topology.name num_instances !served !solved solved_fraction
-      st.Serve.jobs_per_second seconds st.Serve.batches
-      (100.0 *. st.Serve.mean_occupancy)
-      cache.Cache.hits cache.Cache.misses
+    J.Obj
+      [ ("graph", J.Str graph.Topology.name);
+        ("jobs", int num_instances);
+        ("done", int !served);
+        ("solved", int !solved);
+        ("solved_fraction", rounded "%.4f" solved_fraction);
+        ("jobs_per_second", num st.Serve.jobs_per_second);
+        ("seconds", num seconds);
+        ("batches", int st.Serve.batches);
+        ("mean_occupancy_pct", rounded "%.1f" (100.0 *. st.Serve.mean_occupancy));
+        ("embed_cache_hits", int cache.Cache.hits);
+        ("embed_cache_misses", int cache.Cache.misses) ]
   in
   let graphs =
-    if smoke then [ Qac_chimera.Chimera.create 6; Qac_chimera.Pegasus.create 4 ]
-    else [ Qac_chimera.Chimera.create 16; Qac_chimera.Pegasus.create 6 ]
+    if smoke then [ Chimera.create 6; Pegasus.create 4 ]
+    else [ Chimera.create 16; Pegasus.create 6 ]
   in
   let rows = List.map run_graph graphs in
-  let oc = open_out "BENCH_SAT.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"sat-serve\",\n\
-    \  \"mode\": \"%s\",\n\
-    \  \"workload\": \"planted random 3-SAT (per-instance variable gauges of one all-positive clause skeleton) compiled to Ising penalties and batch-served through the tiler; gauge changes preserve coupler structure, so every job shares the embedding-cache entry\",\n\
-    \  \"instances\": %d, \"variables\": %d, \"clauses\": %d,\n\
-    \  \"spins_per_instance\": %d, \"shared_structure_digest\": %b,\n\
-    \  \"sa\": { \"reads\": %d, \"sweeps\": %d },\n\
-    \  \"threads\": %d,\n\
-    \  \"graphs\": [\n%s\n  ]\n\
-     }\n"
-    (if smoke then "smoke" else "full")
-    num_instances n m
-    compiled.(0).Compile.problem.Qac_ising.Problem.num_vars
-    shared_structure sa_params.Qac_anneal.Sa.num_reads
-    sa_params.Qac_anneal.Sa.num_sweeps threads
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.printf "wrote BENCH_SAT.json\n"
+  write_json "BENCH_SAT.json"
+    [ ("benchmark", J.Str "sat-serve");
+      mode smoke;
+      ( "workload",
+        J.Str
+          "planted random 3-SAT (per-instance variable gauges of one all-positive \
+           clause skeleton) compiled to Ising penalties and batch-served through the \
+           tiler; gauge changes preserve coupler structure, so every job shares the \
+           embedding-cache entry" );
+      ("instances", int num_instances);
+      ("variables", int n);
+      ("clauses", int m);
+      ("spins_per_instance", int spins);
+      ("shared_structure_digest", J.Bool shared_structure);
+      ("sa", J.Obj [ ("reads", int reads); ("sweeps", int sweeps) ]);
+      ("threads", int threads);
+      ("graphs", J.Arr rows) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   match args with
-  | [ "bechamel" ] -> bechamel ()
-  | [ "trace" ] -> trace_breakdown ()
   | [ "parallel" ] -> parallel_scaling ()
   | "kernel" :: rest -> kernel_bench ~smoke:(rest = [ "smoke" ]) ()
   | "embed" :: rest -> embed_bench ~smoke:(rest = [ "smoke" ]) ()

@@ -270,25 +270,10 @@ let run_cmd =
         | Some _ -> Qac_embed.Cache.create ?store ()
         | None -> Qac_embed.Cache.shared ()
       in
-      let stats0 = Qac_embed.Cache.stats cache in
       let result =
         P.run t ~pins ~pin_source ?trace:tr ~num_threads:threads ~embed_cache:cache
           ?timeout_ms ~postprocess ~chain_break ~solver ~target
       in
-      (match tr with
-       | None -> ()
-       | Some trace ->
-         let stats = Qac_embed.Cache.stats cache in
-         Trace.set_summary trace "embed-cache-hits"
-           (stats.Qac_embed.Cache.hits - stats0.Qac_embed.Cache.hits);
-         Trace.set_summary trace "embed-cache-misses"
-           (stats.Qac_embed.Cache.misses - stats0.Qac_embed.Cache.misses);
-         (match target, result.P.num_physical_qubits with
-          | P.Physical { graph; _ }, Some q ->
-            let working = Qac_chimera.Topology.num_working_qubits graph in
-            if working > 0 then
-              Trace.set_summary trace "occupancy-pct" (100 * q / working)
-          | _ -> ()));
       Printf.printf "# logical variables: %d\n" result.P.num_logical_vars;
       (match result.P.num_physical_qubits with
        | Some q -> Printf.printf "# physical qubits:  %d\n" q
@@ -342,8 +327,9 @@ let maxsat_arg =
 
 let sat_cmd =
   let run file maxsat solver reads sweeps seed physical topology broken threads
-      timeout_ms chain_break =
+      timeout_ms chain_break trace trace_json =
     try
+      let tr = make_trace ~trace ~trace_json in
       let formula = Dimacs.parse_file file in
       let compiled = Sat.compile formula in
       let p = compiled.Sat.problem in
@@ -358,7 +344,7 @@ let sat_cmd =
               roof_duality = false }
       in
       let solved =
-        P.solve_problem ~num_threads:threads ?timeout_ms ~chain_break
+        P.solve_problem ?trace:tr ~num_threads:threads ?timeout_ms ~chain_break
           ~solver:(make_solver solver ~reads ~sweeps ~seed) ~target p
       in
       (* Decode every read and keep the cheapest assignment; [cost] ranks by
@@ -432,6 +418,7 @@ let sat_cmd =
            Printf.printf "c best read violates %d hard clause(s)\n" hard;
            print_endline "s UNKNOWN"
          end);
+      emit_trace ~trace_json tr;
       `Ok ()
     with
     | Qac_diag.Diag.Error d -> `Error (false, Qac_diag.Diag.to_string d)
@@ -442,7 +429,7 @@ let sat_cmd =
     Term.(ret
             (const run $ sat_file_arg $ maxsat_arg $ solver_arg $ reads_arg $ sweeps_arg
              $ seed_arg $ physical_arg $ topology_arg $ broken_arg $ threads_arg
-             $ timeout_arg $ chain_break_arg))
+             $ timeout_arg $ chain_break_arg $ trace_arg $ trace_json_arg))
 
 (* --- serve ----------------------------------------------------------------- *)
 

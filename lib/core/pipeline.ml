@@ -135,12 +135,12 @@ let compile_cache_stats c =
   Mutex.unlock c.cc_lock;
   s
 
-(* Trace summaries accumulate across compiles within one trace. *)
-let bump_summary trace key =
+(* Trace summaries accumulate across compiles and solves within one trace. *)
+let add_summary trace key n =
   match trace with
   | None -> ()
   | Some tr ->
-    Trace.set_summary tr key (1 + Option.value ~default:0 (Trace.find_summary tr key))
+    Trace.set_summary tr key (n + Option.value ~default:0 (Trace.find_summary tr key))
 
 let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_options)
     ?trace verilog_src =
@@ -151,7 +151,7 @@ let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_opt
   | Some t ->
     c.cc_hits <- c.cc_hits + 1;
     Mutex.unlock c.cc_lock;
-    bump_summary trace "compile-cache-hits";
+    add_summary trace "compile-cache-hits" 1;
     t
   | None ->
     c.cc_misses <- c.cc_misses + 1;
@@ -159,7 +159,7 @@ let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_opt
     (* Compile outside the lock: a slow compile must not serialize other
        shards' lookups.  Concurrent same-key misses both compile; last
        write wins with an identical value. *)
-    bump_summary trace "compile-cache-misses";
+    add_summary trace "compile-cache-misses" 1;
     let t = compile ?top ?steps ~optimize ~options ?trace verilog_src in
     Mutex.lock c.cc_lock;
     Hashtbl.replace c.cc_table key t;
@@ -367,10 +367,13 @@ let solution_of_spins t ~program ?(num_occurrences = 1) ?(broken_chains = 0) spi
    unembed, each a traced span.  Logical targets skip the embedding spans.
    The embed stage consults [embed_cache] first (keyed on problem
    structure + topology identity + embedder params): a hit skips the embed
-   span entirely and records the [embed-cache-hit] counter instead.
-   [timeout_ms] bounds the solve stage: the absolute deadline is computed
-   when the solve span opens, the samplers return best-so-far on expiry,
-   and the [timed-out] counter (0/1) lands on the solve span. *)
+   span entirely and records the [embed-cache-hit] counter instead.  The
+   trace summaries [embed-cache-hits]/[-misses] total the lookups (0 on a
+   logical target) and [occupancy-pct] is the embedding's share of the
+   graph's working qubits.  [timeout_ms] bounds the solve stage: the
+   absolute deadline is computed when the solve span opens, the samplers
+   return best-so-far on expiry, and the [timed-out] counter (0/1) lands
+   on the solve span. *)
 let solve_problem ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shared ())
     ?timeout_ms ?(postprocess = `None) ?(chain_break = Embedding.Vote) ~solver ~target
     logical =
@@ -395,8 +398,13 @@ let solve_problem ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shar
       num_physical_qubits;
       timed_out = r.Anneal.Sampler.timed_out }
   in
+  let cache_lookups ~hits ~misses =
+    add_summary trace "embed-cache-hits" hits;
+    add_summary trace "embed-cache-misses" misses
+  in
   match target with
   | Logical ->
+    cache_lookups ~hits:0 ~misses:0;
     let response =
       span "solve" (fun () ->
           let r = composite_solve logical in
@@ -439,10 +447,12 @@ let solve_problem ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shar
     let embedding =
       match Qac_embed.Cache.find embed_cache cache_key with
       | Some embedding ->
+        cache_lookups ~hits:1 ~misses:0;
         count "embed-cache-hit" 1;
         count "physical-qubits" (Embedding.num_physical_qubits embedding);
         embedding
       | None ->
+        cache_lookups ~hits:0 ~misses:1;
         let embedding =
           span "embed" (fun () ->
               count "embed-cache-miss" 1;
@@ -465,6 +475,13 @@ let solve_problem ?trace ?(num_threads = 1) ?(embed_cache = Qac_embed.Cache.shar
         Qac_embed.Cache.add embed_cache cache_key embedding;
         embedding
     in
+    Option.iter
+      (fun tr ->
+         let working = Qac_chimera.Topology.num_working_qubits graph in
+         if working > 0 then
+           Trace.set_summary tr "occupancy-pct"
+             (100 * Embedding.num_physical_qubits embedding / working))
+      trace;
     let physical = Embedding.apply ?chain_strength graph to_embed embedding in
     let response, kept =
       Embedding.solve ?trace ~policy:chain_break ~solver:composite_solve embedding physical

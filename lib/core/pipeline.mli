@@ -173,6 +173,10 @@ type solved = {
     {!Qac_embed.Cache.shared}) before embedding: a hit returns the cached
     embedding, skips the [embed] span, and records an [embed-cache-hit]
     counter; a miss records [embed-cache-miss] and populates the cache.
+    With a [trace], the summaries [embed-cache-hits] and
+    [embed-cache-misses] add up the lookups (both 0 on a logical target)
+    and [occupancy-pct] is the embedding's share of the graph's working
+    qubits — what [vqa run --trace] and [vqa sat --trace] print.
     [timeout_ms] bounds the solve stage: the absolute deadline is computed
     when solving starts, samplers return best-so-far on expiry, and
     [timed_out] (plus a [timed-out] counter on the solve span) reports

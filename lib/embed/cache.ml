@@ -52,8 +52,10 @@ let key graph (p : Problem.t) ~(params : Cmr.params) =
      of the thread count by contract. *)
   Digest.string (Buffer.contents b)
 
+(* [None] remembers a search that found nothing: the same key runs the same
+   deterministic search, so it would fail again. *)
 type entry = {
-  embedding : Embedding.t;
+  embedding : Embedding.t option;
   mutable last_used : int;
 }
 
@@ -101,7 +103,8 @@ let with_lock t f =
 
 let insert_locked t key embedding =
   match Hashtbl.find_opt t.table key with
-  | Some entry -> entry.last_used <- t.tick
+  | Some entry when Option.is_some entry.embedding -> entry.last_used <- t.tick
+  | Some _ -> Hashtbl.replace t.table key { embedding; last_used = t.tick }
   | None ->
     Hashtbl.replace t.table key { embedding; last_used = t.tick };
     if Hashtbl.length t.table > t.capacity then begin
@@ -121,33 +124,50 @@ let insert_locked t key embedding =
       | None -> ()
     end
 
-let find t key =
+(* [~failures:false] skips a remembered failure as if absent, so it counts
+   as a miss. *)
+let lookup t key ~failures =
   with_lock t (fun () ->
       t.tick <- t.tick + 1;
       match Hashtbl.find_opt t.table key with
-      | Some entry ->
+      | Some entry when failures || Option.is_some entry.embedding ->
         entry.last_used <- t.tick;
         t.hits <- t.hits + 1;
         Some entry.embedding
-      | None ->
+      | _ ->
         (* Fall through to the persistent store and promote: a warm corpus
            makes a freshly restarted shard hit on its very first lookup.
            Lock order is cache -> store; the store never calls back. *)
         (match Option.bind t.store (fun s -> Store.find_embedding s key) with
          | Some embedding ->
-           insert_locked t key embedding;
+           insert_locked t key (Some embedding);
            t.hits <- t.hits + 1;
            t.store_hits <- t.store_hits + 1;
-           Some embedding
+           Some (Some embedding)
          | None ->
            t.misses <- t.misses + 1;
            None))
 
-let add t key embedding =
+let find t key = Option.join (lookup t key ~failures:false)
+
+let remember t key outcome =
   with_lock t (fun () ->
       t.tick <- t.tick + 1;
-      insert_locked t key embedding;
-      Option.iter (fun s -> Store.put_embedding s key embedding) t.store)
+      insert_locked t key outcome;
+      (* Failures stay in memory: the store holds embeddings only. *)
+      match outcome, t.store with
+      | Some e, Some s -> Store.put_embedding s key e
+      | _ -> ())
+
+let add t key embedding = remember t key (Some embedding)
+
+let find_or_search t key search =
+  match lookup t key ~failures:true with
+  | Some outcome -> outcome
+  | None ->
+    let outcome = search () in
+    remember t key outcome;
+    outcome
 
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 

@@ -38,11 +38,21 @@ val structure_digest : Qac_ising.Problem.t -> Digest.t
 val find : t -> Digest.t -> Embedding.t option
 (** Hit refreshes recency and bumps the hit counter; miss bumps the miss
     counter.  A backing-store hit counts as a cache hit (plus a
-    [store_hits] tick) and promotes the entry. *)
+    [store_hits] tick) and promotes the entry.  A failure remembered by
+    {!find_or_search} is no embedding: [find] counts it as a miss. *)
+
+val find_or_search : t -> Digest.t -> (unit -> Embedding.t option) -> Embedding.t option
+(** [find_or_search t key search] returns the remembered outcome of [key] —
+    an embedding or a failed search — as a hit; otherwise it counts a miss,
+    runs [search] and remembers what it returns, so [misses] counts the
+    searches run.  A failure lives only in the LRU (the same key reruns the
+    same deterministic search, so it would fail again); it is never written
+    to the backing store. *)
 
 val add : t -> Digest.t -> Embedding.t -> unit
-(** Inserts (or refreshes) and evicts the least recently used entry beyond
-    capacity; writes through to the backing store when one is attached. *)
+(** Inserts (or refreshes, replacing a remembered failure) and evicts the
+    least recently used entry beyond capacity; writes through to the
+    backing store when one is attached. *)
 
 val length : t -> int
 

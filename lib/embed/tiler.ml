@@ -18,19 +18,13 @@ module Rng = Qac_anneal.Rng
 open Qac_ising
 
 type params = {
-  seed : int;
-  attempts_per_size : int;
-  max_block : int option;
   slack : float;
   embed_params : Cmr.params option;
   chain_strength : float option;
 }
 
 let default_params =
-  { seed = 1;
-    attempts_per_size = 2;
-    max_block = None;
-    slack = 3.0;
+  { slack = 3.0;
     embed_params = None;
     chain_strength = None }
 
@@ -97,29 +91,20 @@ let mark_used free ~r0 ~c0 ~fp =
 
 (* --- The embedding ladder --------------------------------------------------- *)
 
-(* Seeds are a pure function of (base, block, attempt): which attempt
-   succeeds — and the embedding it finds — cannot depend on other jobs. *)
-let attempt_seed base ~block ~attempt =
-  Rng.next_seed (Rng.create (((base * 1_000_003) + block) * 1_000_003 + attempt))
+(* Each block size gets [attempts_per_size] CMR searches before the ladder
+   grows the block. *)
+let attempts_per_size = 2
+
+(* Seeds are a pure function of (block, attempt): which attempt succeeds —
+   and the embedding it finds — cannot depend on other jobs. *)
+let attempt_seed ~block ~attempt =
+  Rng.next_seed (Rng.create (((1_000_003 + block) * 1_000_003) + attempt))
 
 let try_embed ?cache local problem eparams =
-  let search () =
-    match Cmr.find ~params:eparams local problem with
-    | Some e -> Some e
-    | None -> None
-  in
+  let search () = Cmr.find ~params:eparams local problem in
   match cache with
   | None -> search ()
-  | Some c ->
-    let key = Cache.key local problem ~params:eparams in
-    (match Cache.find c key with
-     | Some e -> Some e
-     | None ->
-       (match search () with
-        | Some e ->
-          Cache.add c key e;
-          Some e
-        | None -> None))
+  | Some c -> Cache.find_or_search c (Cache.key local problem ~params:eparams) search
 
 (* Find (block, embedding) for one problem — grid-independent.  The ladder
    starts at the smallest block whose capacity covers [slack * num_vars] and
@@ -154,7 +139,7 @@ let ladder ?cache ~params ~fam ~kmax ~kclean problem =
           | None -> Cmr.params_for local
         in
         let rec attempt a =
-          if a >= params.attempts_per_size then
+          if a >= attempts_per_size then
             (* Dense interaction graphs defeat the path-based heuristic; the
                clique template is deterministic, so it keeps the invariance. *)
             match Clique.find local problem with
@@ -163,7 +148,7 @@ let ladder ?cache ~params ~fam ~kmax ~kclean problem =
           else
             let eparams =
               { base with
-                Cmr.seed = attempt_seed params.seed ~block:k ~attempt:a;
+                Cmr.seed = attempt_seed ~block:k ~attempt:a;
                 num_threads = 1 }
             in
             match try_embed ?cache local problem eparams with
@@ -181,10 +166,7 @@ let ladder ?cache ~params ~fam ~kmax ~kclean problem =
 let tile ?(params = default_params) ?cache ?(num_threads = 1) graph problems =
   let fam = Family.of_topology graph in
   let kclean = Family.max_feasible_block fam in
-  let kmax =
-    min fam.Family.max_block
-      (Option.value params.max_block ~default:fam.Family.max_block)
-  in
+  let kmax = fam.Family.max_block in
   let n = Array.length problems in
   (* Phase 1 — the per-job ladders are independent of the grid and of each
      other, so they parallelize freely (the cache is mutex-guarded).  Jobs

@@ -24,16 +24,13 @@
       them, so keys can never collide across fabrics).
 
     Block sizes climb a deterministic ladder: starting from a capacity
-    heuristic, each size gets a fixed number of embedding attempts with
-    seeds derived from [(seed, size, attempt)]; an embedding failure grows
-    the block, lack of floor space defers the job (the batch server requeues
-    it at the front of the next, emptier batch), and a problem too large for
-    even an empty floor fails outright. *)
+    heuristic, each size gets two embedding attempts with seeds derived
+    from [(size, attempt)]; an embedding failure grows the block, lack of
+    floor space defers the job (the batch server requeues it at the front
+    of the next, emptier batch), and a problem too large for even an empty
+    floor fails outright. *)
 
 type params = {
-  seed : int;  (** base seed for the per-(size, attempt) embedding seeds *)
-  attempts_per_size : int;  (** embedding retries before growing the block *)
-  max_block : int option;  (** block-size cap; [None] = the full grid *)
   slack : float;
       (** capacity headroom: the ladder starts at the smallest block [k]
           with [Family.block_capacity k >= slack * num_vars] *)
@@ -43,7 +40,7 @@ type params = {
 }
 
 val default_params : params
-(** seed 1, 2 attempts per size, no cap, slack 3.0, default CMR params. *)
+(** slack 3.0, default CMR params, per-problem chain strength. *)
 
 type region = {
   origin_row : int;

@@ -280,6 +280,37 @@ let physical_tests =
         let valid = P.valid_solutions result in
         Alcotest.(check bool) "found valid" true (valid <> []);
         Alcotest.(check int) "c = 0" 0 (List.assoc "c" (List.hd valid).P.ports));
+    Alcotest.test_case "embedded CNF solve reports cache and occupancy summaries"
+      `Quick (fun () ->
+        let formula =
+          Qac_sat.Dimacs.parse "p cnf 4 6\n1 2 -3 0\n-1 3 4 0\n2 3 -4 0\n\
+                                -2 -3 4 0\n1 -2 4 0\n-1 -3 -4 0\n"
+        in
+        let problem = (Qac_sat.Compile.compile formula).Qac_sat.Compile.problem in
+        let graph = Qac_chimera.Chimera.create 4 in
+        let target =
+          P.Physical
+            { graph; embed_params = None; chain_strength = None; roof_duality = false }
+        in
+        let solver = P.Sa (sa_params ~reads:10 ~sweeps:50 ~seed:1) in
+        let embed_cache = Qac_embed.Cache.create () in
+        let trace = Qac_diag.Trace.create () in
+        let solve () =
+          P.solve_problem ~trace ~embed_cache ~solver ~target problem
+        in
+        let solved = solve () in
+        let summary key = Qac_diag.Trace.find_summary trace key in
+        Alcotest.(check (option int)) "cold hits" (Some 0) (summary "embed-cache-hits");
+        Alcotest.(check (option int)) "cold misses" (Some 1) (summary "embed-cache-misses");
+        let qubits = Option.get solved.P.num_physical_qubits in
+        Alcotest.(check (option int)) "occupancy"
+          (Some (100 * qubits / Qac_chimera.Topology.num_working_qubits graph))
+          (summary "occupancy-pct");
+        ignore (solve ());
+        Alcotest.(check (option int)) "warm hits add up" (Some 1)
+          (summary "embed-cache-hits");
+        Alcotest.(check (option int)) "no new miss" (Some 1)
+          (summary "embed-cache-misses"));
   ]
 
 let suite = compile_tests @ forward_backward_tests @ physical_tests

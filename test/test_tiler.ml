@@ -377,7 +377,38 @@ let cache_thread_tests =
          in
          let one = counts 1 in
          Alcotest.(check (pair int int)) "2 threads" one (counts 2);
-         Alcotest.(check (pair int int)) "4 threads" one (counts 4)) ]
+         Alcotest.(check (pair int int)) "4 threads" one (counts 4));
+    Alcotest.test_case "a re-tile through the cache reruns no failed search" `Quick
+      (fun () ->
+         (* A dense 10-variable problem with one CMR try per attempt: the
+            ladder's first attempts fail before one succeeds, and the
+            cache must remember those failures too. *)
+         let st = Random.State.make [| 1 |] in
+         let n = 10 in
+         let seen = Hashtbl.create 64 in
+         let j = ref [] in
+         while List.length !j < 30 do
+           let a = Random.State.int st n and b = Random.State.int st n in
+           let key = (min a b, max a b) in
+           if a <> b && not (Hashtbl.mem seen key) then begin
+             Hashtbl.add seen key ();
+             j := (key, 1.0) :: !j
+           end
+         done;
+         let p = Problem.create ~num_vars:n ~h:(Array.make n 0.0) ~j:!j () in
+         let params =
+           { Tiler.default_params with
+             Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries = 1 } }
+         in
+         let graph = Chimera.create 6 in
+         let cache = Cache.create () in
+         let first = Tiler.tile ~params ~cache graph [| p |] in
+         let cold = Cache.stats cache in
+         Alcotest.(check bool) "some search failed" true (cold.Cache.misses > 1);
+         let second = Tiler.tile ~params ~cache graph [| p |] in
+         let warm = Cache.stats cache in
+         Alcotest.(check int) "no new misses" cold.Cache.misses warm.Cache.misses;
+         check_same_tiling first second) ]
 
 let suite =
   tiling_tests @ solve_tests @ accounting_tests @ pegasus_tests
