@@ -110,30 +110,11 @@ let compile ?top ?steps ?(optimize = true) ?(options = default_options) ?trace v
    source plus the structural options; the compiled value is immutable and
    shared by reference. *)
 
-type compile_cache = {
-  cc_lock : Mutex.t;
-  cc_table : (string * string option * int option * bool * Qmasm.Assemble.options, t) Hashtbl.t;
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-}
+let cc_lock = Mutex.create ()
 
-type compile_cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-}
-
-let compile_cache_create () =
-  { cc_lock = Mutex.create (); cc_table = Hashtbl.create 16; cc_hits = 0; cc_misses = 0 }
-
-let shared_compile_cache_v = lazy (compile_cache_create ())
-let shared_compile_cache () = Lazy.force shared_compile_cache_v
-
-let compile_cache_stats c =
-  Mutex.lock c.cc_lock;
-  let s = { hits = c.cc_hits; misses = c.cc_misses; entries = Hashtbl.length c.cc_table } in
-  Mutex.unlock c.cc_lock;
-  s
+let cc_table :
+  (string * string option * int option * bool * Qmasm.Assemble.options, t) Hashtbl.t =
+  Hashtbl.create 16
 
 (* Trace summaries accumulate across compiles and solves within one trace. *)
 let add_summary trace key n =
@@ -142,28 +123,25 @@ let add_summary trace key n =
   | Some tr ->
     Trace.set_summary tr key (n + Option.value ~default:0 (Trace.find_summary tr key))
 
-let compile_cached ?cache ?top ?steps ?(optimize = true) ?(options = default_options)
-    ?trace verilog_src =
-  let c = match cache with Some c -> c | None -> shared_compile_cache () in
+let compile_cached ?top ?steps ?(optimize = true) ?(options = default_options) ?trace
+    verilog_src =
   let key = (Digest.string verilog_src, top, steps, optimize, options) in
-  Mutex.lock c.cc_lock;
-  match Hashtbl.find_opt c.cc_table key with
+  Mutex.lock cc_lock;
+  match Hashtbl.find_opt cc_table key with
   | Some t ->
-    c.cc_hits <- c.cc_hits + 1;
-    Mutex.unlock c.cc_lock;
+    Mutex.unlock cc_lock;
     add_summary trace "compile-cache-hits" 1;
     t
   | None ->
-    c.cc_misses <- c.cc_misses + 1;
-    Mutex.unlock c.cc_lock;
+    Mutex.unlock cc_lock;
     (* Compile outside the lock: a slow compile must not serialize other
-       shards' lookups.  Concurrent same-key misses both compile; last
+       domains' lookups.  Concurrent same-key misses both compile; last
        write wins with an identical value. *)
     add_summary trace "compile-cache-misses" 1;
     let t = compile ?top ?steps ~optimize ~options ?trace verilog_src in
-    Mutex.lock c.cc_lock;
-    Hashtbl.replace c.cc_table key t;
-    Mutex.unlock c.cc_lock;
+    Mutex.lock cc_lock;
+    Hashtbl.replace cc_table key t;
+    Mutex.unlock cc_lock;
     t
 
 (* NUL-separated fields, so no two (source, top, steps, pins) tuples share

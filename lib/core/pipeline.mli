@@ -51,26 +51,9 @@ val default_options : Qac_qmasm.Assemble.options
 
     The front half is a pure function of (source, top, steps, optimize,
     options), so repeated compiles of the same source — the serving tier's
-    common case — can return the already-compiled value by reference.
-    Mutex-guarded; safe to share across domains. *)
-
-type compile_cache
-
-val compile_cache_create : unit -> compile_cache
-
-val shared_compile_cache : unit -> compile_cache
-(** The process-wide cache {!compile_cached} defaults to. *)
-
-type compile_cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-}
-
-val compile_cache_stats : compile_cache -> compile_cache_stats
+    common case — can return the already-compiled value by reference. *)
 
 val compile_cached :
-  ?cache:compile_cache ->
   ?top:string ->
   ?steps:int ->
   ?optimize:bool ->
@@ -78,8 +61,9 @@ val compile_cached :
   ?trace:Qac_diag.Trace.t ->
   string ->
   t
-(** Like {!compile}, but memoized on a digest of the source plus the
-    options.  A hit (miss) increments the ["compile-cache-hits"]
+(** Like {!compile}, but memoized in one process-wide, mutex-guarded table
+    (safe to share across domains) keyed on a digest of the source plus
+    the options.  A hit (miss) increments the ["compile-cache-hits"]
     (["compile-cache-misses"]) trace summary, accumulating across calls
     that share a trace; a miss additionally records the usual compile
     spans.  Concurrent misses on one key may compile twice — both produce

@@ -19,11 +19,17 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-(* %.17g round-trips any finite double exactly; integral values print as
-   integers so tickets and counters stay readable. *)
+(* The shortest of %.15g, %.16g and %.17g that reads back to the same
+   bits (%.17g always does), so 0.3333 stays "0.3333"; integral values
+   print as integers so tickets and counters stay readable. *)
 let float_repr f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  else
+    let rec shortest digits =
+      let s = Printf.sprintf "%.*g" digits f in
+      if digits = 17 || Float.equal (float_of_string s) f then s else shortest (digits + 1)
+    in
+    shortest 15
 
 let escape_string b s =
   Buffer.add_char b '"';

@@ -8,9 +8,10 @@
     length prefix is attacker-controlled input and must not size a buffer
     unchecked.
 
-    Floats are printed with enough digits to round-trip bit-exactly
-    ([%.17g]), so a response read back through the socket compares equal to
-    the in-process one — the determinism contract survives serialization.
+    Floats are printed in the shortest of [%.15g], [%.16g] and [%.17g] that
+    reads back to the same bits, so a response read back through the socket
+    compares equal to the in-process one — the determinism contract
+    survives serialization.
 
     The JSON codec is hand-written (the toolchain has no JSON package) and
     deliberately small: objects, arrays, strings with the standard escapes,

@@ -199,3 +199,25 @@ let adjacency_range_tests =
   ]
 
 let suite = lp_tests @ truthtab_tests @ derive_tests @ qcheck_tests @ adjacency_range_tests
+
+(* The five cells of the Pegasus study derive and verify under both
+   coefficient boxes, the 2000Q's and the Advantage's. *)
+let both_ranges_tests =
+  [ Alcotest.test_case "cells derive under both the 2000Q and Advantage boxes" `Quick
+      (fun () ->
+         List.iter
+           (fun (name, fn, num_inputs) ->
+              let t = Truthtab.of_function ~num_inputs fn in
+              List.iter
+                (fun (range_name, range) ->
+                   match Gen.derive ~range t with
+                   | None -> Alcotest.failf "%s: underivable in the %s range" name range_name
+                   | Some d ->
+                     Alcotest.(check bool) (name ^ " verifies in " ^ range_name) true
+                       (Gen.verify d))
+                [ ("2000Q", Scale.dwave_2000q); ("Advantage", Scale.advantage) ])
+           [ ("AND", and_fn, 2); ("OR", or_fn, 2); ("XOR", xor_fn, 2);
+             ("MUX", (fun v -> if v.(0) then v.(2) else v.(1)), 3);
+             ("AOI3", (fun v -> not ((v.(0) && v.(1)) || v.(2))), 3) ]) ]
+
+let suite = suite @ both_ranges_tests

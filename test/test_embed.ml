@@ -557,3 +557,30 @@ let stage_tests =
         check_graph (Pegasus.create 2)) ]
 
 let suite = suite @ stage_tests
+
+(* --- Pegasus vs Chimera at a matched qubit budget ---------------------------- *)
+
+(* The paper's Figure 2 circuit, at two fabrics of 128 working qubits: C4
+   and P3.  Pegasus's degree-15 fabric must not need longer chains than
+   Chimera's degree-6 one. *)
+let pegasus_budget_tests =
+  [ Alcotest.test_case "fig2 max chain on P3 is at most C4's" `Quick (fun () ->
+        let src =
+          "module circuit (s, a, b, c); input s; input a; input b; output [1:0] c; \
+           assign c = s ? a + b : a - b; endmodule"
+        in
+        let module P = Qac_core.Pipeline in
+        let p = (P.compile src).P.program.Qac_qmasm.Assemble.problem in
+        let max_chain graph =
+          let params = { (Cmr.params_for graph) with Cmr.seed = 5 } in
+          let e = find_exn ~params graph p in
+          check_verified graph p e;
+          Embedding.max_chain_length e
+        in
+        let chimera = max_chain (Chimera.create 4) in
+        let pegasus = max_chain (Pegasus.create 3) in
+        Alcotest.(check bool)
+          (Printf.sprintf "P3 max chain %d <= C4 max chain %d" pegasus chimera)
+          true (pegasus <= chimera)) ]
+
+let suite = suite @ pegasus_budget_tests

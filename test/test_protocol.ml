@@ -243,3 +243,35 @@ let framing_tests =
          | _ -> Alcotest.fail "oversized write must be rejected") ]
 
 let suite = json_tests @ codec_tests @ framing_tests
+
+(* --- float printing ----------------------------------------------------------- *)
+
+(* Any finite double's bit pattern: raw 64-bit patterns (both signs, every
+   exponent), plus patterns with the exponent cleared so subnormals and
+   signed zeros come up often. *)
+let arb_finite_bits =
+  let open QCheck in
+  let subnormal = Int64.logor Int64.min_int 0xFFFFFFFFFFFFFL in
+  make
+    ~print:(fun b -> Printf.sprintf "%h (bits %Lx)" (Int64.float_of_bits b) b)
+    Gen.(oneof [ ui64; map (Int64.logand subnormal) ui64 ])
+
+let float_repr_tests =
+  [ Alcotest.test_case "floats print in their shortest round-tripping form" `Quick
+      (fun () ->
+         List.iter
+           (fun (f, s) ->
+              Alcotest.(check string) (Printf.sprintf "%h" f) s
+                (Protocol.json_to_string (Protocol.Num f)))
+           [ (0.3333, "0.3333"); (0.1, "0.1"); (-2.5, "-2.5"); (1.0 /. 3.0, "0.3333333333333333");
+             (42.0, "42") ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"every finite double round-trips bit-exactly" ~count:20_000
+         arb_finite_bits (fun b ->
+             let f = Int64.float_of_bits b in
+             QCheck.assume (Float.is_finite f);
+             match roundtrip_json (Protocol.Num f) with
+             | Protocol.Num f' -> Int64.equal b (Int64.bits_of_float f')
+             | _ -> false)) ]
+
+let suite = suite @ float_repr_tests

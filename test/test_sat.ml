@@ -591,3 +591,49 @@ let serve_tests =
 let suite =
   parser_tests @ gadget_tests @ compiler_tests @ guard_tests @ qbsolv_tests
   @ serve_tests @ back_half_tests
+
+(* --- gauge invariance of the structure digest ------------------------------ *)
+
+(* Polarity-gauged copies of one planted 3-SAT skeleton: every copy flips
+   the literals of a random set of variables, so it is satisfied by its own
+   hidden assignment.  A gauge flips coefficient signs but never removes a
+   coupler, so every copy must share one embedding-cache entry. *)
+let gauge_tests =
+  [ Alcotest.test_case "gauged 3-SAT copies share one structure digest" `Quick
+      (fun () ->
+         let n = 8 and m = 26 in
+         let rng = Random.State.make [| 421 |] in
+         let skeleton =
+           Array.init m (fun _ ->
+               let a = Random.State.int rng n in
+               let b = (a + 1 + Random.State.int rng (n - 1)) mod n in
+               let rec pick () =
+                 let c = Random.State.int rng n in
+                 if c = a || c = b then pick () else c
+               in
+               (a, b, pick ()))
+         in
+         let gauged () =
+           let gauge = Array.init n (fun _ -> Random.State.bool rng) in
+           let lit v = if gauge.(v) then v + 1 else -(v + 1) in
+           Compile.compile
+             { Dimacs.num_vars = n;
+               clauses =
+                 Array.map
+                   (fun (a, b, c) ->
+                      { Dimacs.lits = [| lit a; lit b; lit c |]; weight = Dimacs.Hard })
+                   skeleton;
+               mode = Dimacs.Cnf;
+               top = None }
+         in
+         let copies = List.init 8 (fun _ -> (gauged ()).Compile.problem) in
+         let first = List.hd copies in
+         List.iteri
+           (fun i p ->
+              Alcotest.(check bool) (Printf.sprintf "copy %d digest" i) true
+                (Cache.structure_digest p = Cache.structure_digest first))
+           copies;
+         Alcotest.(check bool) "the gauges change the coefficients" true
+           (List.exists (fun p -> not (Problem.equal p first)) copies)) ]
+
+let suite = suite @ gauge_tests

@@ -316,3 +316,108 @@ let cache_tests =
   ]
 
 let suite = codec_tests @ dir_tests @ cache_tests
+
+(* --- Warm restart of a served fleet ------------------------------------------- *)
+
+module P = Qac_core.Pipeline
+module Serve = Qac_serve.Serve
+
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* Pinned add/xor circuits at widths 1 and 2, as (id, source, pins). *)
+let fleet =
+  List.concat_map
+    (fun w ->
+       List.map
+         (fun (name, op) ->
+            let src =
+              Printf.sprintf
+                "module %s%d (a, b, y); input [%d:0] a; input [%d:0] b; \
+                 output [%d:0] y; assign y = a %s b; endmodule"
+                name w (w - 1) (w - 1) w op
+            in
+            (Printf.sprintf "%s%d" name w, src, [ ("a", 1); ("b", w) ]))
+         [ ("add", "+"); ("xor", "^") ])
+    [ 1; 2 ]
+
+let snapshot_key (_, src, pins) = P.problem_snapshot_key ~src ~top:None ~steps:None ~pins
+
+(* Serve [problems] through one in-process [Serve] on a C8 sharing
+   [embed_cache]; each result is returned as its wire JSON with everything
+   that depends on scheduling (batch ordinal, timings) zeroed. *)
+let serve_fleet ~embed_cache problems =
+  let t =
+    Serve.create ~embed_cache
+      ~tiler_params:
+        { Qac_embed.Tiler.default_params with
+          Qac_embed.Tiler.embed_params = Some { Qac_embed.Cmr.default_params with tries = 2 } }
+      ~solver:(fun ~deadline p ->
+          Qac_anneal.Sa.sample
+            ~params:{ Qac_anneal.Sa.default_params with num_reads = 10; num_sweeps = 50; seed = 42 }
+            ?deadline p)
+      ~graph:(Qac_chimera.Chimera.create 8) ()
+  in
+  List.iter2
+    (fun (id, _, _) problem -> Serve.submit t { Serve.id; problem; timeout_ms = None })
+    fleet problems;
+  List.map
+    (fun (r : Serve.result) ->
+       Qac_serve.Protocol.json_to_string
+         (Qac_serve.Protocol.result_to_json
+            { r with
+              Serve.batch = 0;
+              wait_seconds = 0.0;
+              solve_seconds = 0.0;
+              response =
+                Option.map
+                  (fun resp -> { resp with Qac_anneal.Sampler.elapsed_seconds = 0.0 })
+                  r.Serve.response }))
+    (Serve.drain t)
+
+let restart_tests =
+  [ Alcotest.test_case "a restarted Serve finds every snapshot and embedding in the store"
+      `Quick (fun () ->
+        let dir = temp_dir () in
+        Fun.protect ~finally:(fun () -> remove_tree dir) (fun () ->
+            (* first process: compile, snapshot and serve through the store *)
+            let store = Store.open_dir dir in
+            let problems =
+              List.map
+                (fun ((_, src, pins) as c) ->
+                   let p =
+                     (P.assemble_with_pins ~pins (P.compile src)).Qac_qmasm.Assemble.problem
+                   in
+                   Store.put_problem store (snapshot_key c) p;
+                   p)
+                fleet
+            in
+            let first = serve_fleet ~embed_cache:(Cache.create ~store ()) problems in
+            (* restarted process: a fresh handle on the same directory *)
+            let store = Store.open_dir dir in
+            let restored =
+              List.map2
+                (fun ((id, _, _) as c) p ->
+                   match Store.find_problem store (snapshot_key c) with
+                   | Some q ->
+                     Alcotest.(check bool) (id ^ " snapshot equals the compile") true
+                       (Problem.equal p q);
+                     q
+                   | None -> Alcotest.failf "%s: snapshot missing after restart" id)
+                fleet problems
+            in
+            let cache = Cache.create ~store () in
+            let warm = serve_fleet ~embed_cache:cache restored in
+            let st = Cache.stats cache in
+            Alcotest.(check int) "no embedding searched again" 0 st.Cache.misses;
+            Alcotest.(check bool) "embeddings come from the store" true (st.Cache.store_hits >= 1);
+            Alcotest.(check (list string)) "warm answers equal the first run" first warm;
+            Alcotest.(check (list string)) "answers equal a run without a store" first
+              (serve_fleet ~embed_cache:(Cache.create ()) problems))) ]
+
+let suite = suite @ restart_tests
